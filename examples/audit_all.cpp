@@ -43,18 +43,6 @@ using namespace nascent;
 
 namespace {
 
-const char *implicationModeName(ImplicationMode M) {
-  switch (M) {
-  case ImplicationMode::All:
-    return "all";
-  case ImplicationMode::CrossFamilyOnly:
-    return "cross";
-  case ImplicationMode::None:
-    return "none";
-  }
-  return "?";
-}
-
 /// Accumulated optimizer phase cost of one (scheme, mode) configuration.
 struct ConfigTiming {
   double OptimizeWall = 0;

@@ -58,18 +58,6 @@ using namespace nascent;
 
 namespace {
 
-const char *implicationModeName(ImplicationMode M) {
-  switch (M) {
-  case ImplicationMode::All:
-    return "all";
-  case ImplicationMode::CrossFamilyOnly:
-    return "cross";
-  case ImplicationMode::None:
-    return "none";
-  }
-  return "?";
-}
-
 /// Accumulated results of one (scheme, mode) configuration over the suite.
 struct ConfigSummary {
   uint64_t StaticChecks = 0;

@@ -278,8 +278,7 @@ private:
                                              ? " nck_condchecks++;"
                                              : ""));
     else if (I.Op == Opcode::Load || I.Op == Opcode::Store)
-      Line("nck_instrs += " + std::to_string(1 + 2 * I.Indices.size()) +
-           ";");
+      Line("nck_instrs += " + std::to_string(instructionCost(I)) + ";");
     else
       Line("nck_instrs++;");
 

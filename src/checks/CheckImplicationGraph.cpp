@@ -5,6 +5,18 @@
 
 using namespace nascent;
 
+const char *nascent::implicationModeName(ImplicationMode M) {
+  switch (M) {
+  case ImplicationMode::All:
+    return "all";
+  case ImplicationMode::CrossFamilyOnly:
+    return "cross";
+  case ImplicationMode::None:
+    return "none";
+  }
+  return "?";
+}
+
 void CheckImplicationGraph::addImplication(CheckID Ci, CheckID Cj) {
   FamilyID FI = U.familyOf(Ci);
   FamilyID FJ = U.familyOf(Cj);

@@ -32,6 +32,10 @@ enum class ImplicationMode {
   All,             ///< within-family order and cross-family edges
 };
 
+/// The mode's short name as sweep and audit_all print it: "none",
+/// "cross", "all".
+const char *implicationModeName(ImplicationMode M);
+
 /// Weighted implication graph over the families of a CheckUniverse.
 class CheckImplicationGraph {
 public:

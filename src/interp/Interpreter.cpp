@@ -11,6 +11,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <tuple>
 
 using namespace nascent;
@@ -77,15 +79,31 @@ private:
     Frame Fr(F);
     for (SymbolID S = 0; S != F.symbols().size(); ++S) {
       const Symbol &Sym = F.symbols().get(S);
-      if (Sym.isArray() && !Sym.IsParam) {
+      if (!Sym.isArray() || Sym.IsParam)
+        continue;
+      // A declared size beyond memory is the program's runtime error; the
+      // frame stays unexecuted because the fault halts the run.
+      try {
         Fr.Owned.push_back(std::make_unique<ArrayStorage>(Sym.Shape));
-        Fr.Arrays[S] = Fr.Owned.back().get();
+      } catch (const std::length_error &) {
+        faultAllocation(Sym);
+        break;
+      } catch (const std::bad_alloc &) {
+        faultAllocation(Sym);
+        break;
       }
+      Fr.Arrays[S] = Fr.Owned.back().get();
     }
     return Fr;
   }
 
   bool halted() const { return R.St != ExecResult::Status::Ok; }
+
+  void faultAllocation(const Symbol &Array) {
+    fault(ExecResult::Status::AllocationFailed,
+          "cannot allocate array '" + Array.Name + "' (" +
+              std::to_string(Array.Shape.elementCount()) + " elements)");
+  }
 
   void fault(ExecResult::Status St, std::string Msg) {
     if (halted())
@@ -224,12 +242,8 @@ void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
         ++R.DynCondChecks;
       if (Opts.CountCheckSites)
         obs::saturatingInc(SiteCounts[{Fr.F, Cur, Idx}]);
-    } else if (I.Op == Opcode::Load || I.Op == Opcode::Store) {
-      // Count the address arithmetic the paper's C back end would emit:
-      // one multiply and one add per dimension plus the access itself.
-      R.DynInstrs += 1 + 2 * static_cast<uint64_t>(I.Indices.size());
     } else {
-      ++R.DynInstrs;
+      R.DynInstrs += instructionCost(I);
     }
 
     switch (I.Op) {
@@ -605,10 +619,8 @@ StaticCounts nascent::countStatic(const Module &M) {
       for (const Instruction &I : BB->instructions()) {
         if (I.isRangeCheck())
           ++C.Checks;
-        else if (I.Op == Opcode::Load || I.Op == Opcode::Store)
-          C.Instrs += 1 + 2 * static_cast<uint64_t>(I.Indices.size());
         else
-          ++C.Instrs;
+          C.Instrs += instructionCost(I);
       }
     }
     Function &NonConst = const_cast<Function &>(*F);

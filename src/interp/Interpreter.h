@@ -52,6 +52,9 @@ struct ExecResult {
                ///< bug, and the test suite asserts it never happens
     StepLimit,
     CallDepthExceeded,
+    AllocationFailed, ///< an array's storage could not be allocated (the
+                      ///< declared size exceeds memory); a runtime error
+                      ///< of the program, not an optimizer bug
   };
 
   Status St = Status::Ok;
@@ -70,7 +73,7 @@ struct ExecResult {
   /// run never reached are absent.
   std::vector<obs::CheckSiteCount> CheckSites;
 
-  /// Populated when St == Trapped or HardFault.
+  /// Populated whenever St != Ok.
   std::string FaultMessage;
 
   bool ok() const { return St == Status::Ok; }

@@ -174,6 +174,17 @@ struct Instruction {
   bool isRangeCheck() const { return isRangeCheckOp(Op); }
 };
 
+/// The paper's cost of one executed non-check instruction, the unit of the
+/// static and dynamic instruction counts: a Load or Store costs the access
+/// plus the one multiply and one add per dimension of its address
+/// arithmetic (1 + 2 x rank); every other instruction costs 1. Range
+/// checks are counted separately.
+inline uint64_t instructionCost(const Instruction &I) {
+  if (I.Op == Opcode::Load || I.Op == Opcode::Store)
+    return 1 + 2 * static_cast<uint64_t>(I.Indices.size());
+  return 1;
+}
+
 } // namespace nascent
 
 #endif // NASCENT_IR_INSTRUCTION_H

@@ -28,11 +28,16 @@ struct ArrayDim {
   int64_t Lower = 1;
   int64_t Upper = 1;
 
-  /// Number of elements in this dimension (zero-extent dims are rejected by
-  /// semantic analysis).
+  /// Number of elements in this dimension, or -1 when that does not fit in
+  /// int64_t. Semantic analysis rejects zero-extent and overflowing
+  /// dimensions, so a verified module never holds either.
   int64_t extent() const {
     assert(Upper >= Lower && "malformed array dimension");
-    return Upper - Lower + 1;
+    int64_t N;
+    if (__builtin_sub_overflow(Upper, Lower, &N) ||
+        __builtin_add_overflow(N, 1, &N))
+      return -1;
+    return N;
   }
 };
 
@@ -44,11 +49,15 @@ struct ArrayShape {
 
   size_t rank() const { return Dims.size(); }
 
-  /// Total number of elements.
+  /// Total number of elements, or -1 when that (or any extent) does not
+  /// fit in int64_t; semantic analysis rejects such shapes.
   int64_t elementCount() const {
     int64_t N = 1;
-    for (const ArrayDim &D : Dims)
-      N *= D.extent();
+    for (const ArrayDim &D : Dims) {
+      int64_t E = D.extent();
+      if (E < 0 || __builtin_mul_overflow(N, E, &N))
+        return -1;
+    }
     return N;
   }
 };

@@ -86,6 +86,12 @@ void Sema::analyzeUnit(UnitState &U) {
         }
         Shape.Dims.push_back({Lo, Hi});
       }
+      if (!BadDims && Shape.elementCount() < 0) {
+        Diags.error(V.Loc, "array '" + V.Name +
+                               "' is too large: its element count overflows "
+                               "a 64-bit integer");
+        BadDims = true;
+      }
       if (!BadDims)
         Syms.createArray(V.Name, std::move(Shape), IsParam);
     }

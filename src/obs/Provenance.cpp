@@ -114,7 +114,7 @@ void ProvenanceRecorder::writeJson(JsonWriter &W) const {
     W.kv("function", E.Function);
     W.kv("block", E.Block);
     W.kv("check", E.CheckStr);
-    W.kv("bound", E.Bound);
+    W.kv("bound", E.Check.bound());
     writeOrigin(W, E.Origin);
     W.kv("justification", E.Justification);
     if (E.OtherTag != NoCheckTag)
@@ -280,7 +280,7 @@ LifecycleEvent obs::makeLifecycleEvent(LifecycleKind Kind, std::string Pass,
   E.Function = F.name();
   E.Block = BB.name();
   E.CheckStr = I.Check.str(F.symbols());
-  E.Bound = I.Check.bound();
+  E.Check = I.Check;
   E.Origin = I.Origin;
   E.Justification = std::move(Justification);
   return E;

@@ -3,9 +3,10 @@
 /// \file
 /// Check-lifecycle provenance: a structured, replayable record of every
 /// decision the pipeline makes about every range check, keyed by the
-/// check's stable CheckTag (ir/Instruction.h). Where the remark stream
-/// (obs/Remarks.h) answers "what did pass P decide here", provenance
-/// answers "what happened to *this* check, end to end":
+/// check's stable CheckTag (ir/Instruction.h). It is the optimizer's only
+/// record of its decisions: the passes write lifecycle events here and
+/// nowhere else, and the remark stream (obs/Remarks.h) is a view of these
+/// events. Provenance answers "what happened to *this* check, end to end":
 ///
 ///   Inserted      the check was materialised (Lowering, LazyCodeMotion,
 ///                 PreheaderInsertion)
@@ -23,6 +24,10 @@
 ///                 the tag
 ///   Residualized  survived the whole pipeline; the interpreter's dynamic
 ///                 per-site counts attach to this state
+///
+/// Remarks are derived from these events by one mapping, tabled in
+/// obs/Remarks.h: e.g. SubsumedBy by Elimination reads as `eliminated`;
+/// merges, "Unreachable" closures and Residualized read as no remark.
 ///
 /// The last event of every check is terminal (SubsumedBy / Eliminated /
 /// Trapped / Residualized), and terminal totals reconcile exactly with
@@ -80,7 +85,9 @@ struct LifecycleEvent {
   std::string Function; ///< enclosing function name
   std::string Block;    ///< block holding (or receiving) the check
   std::string CheckStr; ///< rendered check *after* the event
-  int64_t Bound = 0;    ///< range constant after the event
+  /// The check after the event. Serialised as its bound only; a remark
+  /// derived from the event renders its family expression.
+  CheckExpr Check;
   CheckOrigin Origin;   ///< source provenance (array, dim, side, loc)
   std::string Justification; ///< the fact justifying the decision
   /// SubsumedBy: the covering check's tag (0 when the cover is a merge
@@ -93,7 +100,7 @@ struct LifecycleEvent {
 };
 
 /// Collects lifecycle events for one compilation. Disabled recorders cost
-/// one branch per record call, mirroring RemarkCollector.
+/// one branch per record call.
 class ProvenanceRecorder {
 public:
   void enable() { Enabled = true; }

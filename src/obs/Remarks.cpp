@@ -105,21 +105,50 @@ std::string RemarkCollector::toJson() const {
   return W.take();
 }
 
-Remark obs::makeCheckRemark(RemarkKind Kind, std::string Pass,
-                            const Function &F, const BasicBlock &BB,
-                            const CheckExpr &CE, const CheckOrigin &Origin,
-                            std::string Justification) {
-  Remark R;
-  R.Kind = Kind;
-  R.Pass = std::move(Pass);
-  R.Function = F.name();
-  R.Block = BB.name();
-  R.CheckStr = CE.str(F.symbols());
-  R.FamilyStr = CE.expr().str(F.symbols());
-  R.Bound = CE.bound();
-  R.Origin = Origin;
-  R.Justification = std::move(Justification);
-  return R;
+bool obs::remarkKindOf(const LifecycleEvent &E, RemarkKind &Out) {
+  using LK = LifecycleKind;
+  using RK = RemarkKind;
+  // A null pass matches any pass.
+  static const struct {
+    LK Event;
+    const char *Pass;
+    RK Remark;
+  } Mapping[] = {
+      {LK::SubsumedBy, "Elimination", RK::Eliminated},
+      {LK::Strengthened, "CheckStrengthening", RK::Strengthened},
+      {LK::Inserted, "LazyCodeMotion", RK::LcmInserted},
+      {LK::Inserted, "PreheaderInsertion", RK::CondInserted},
+      {LK::Moved, "PreheaderInsertion", RK::Rehoisted},
+      {LK::Eliminated, "Elimination", RK::CompileTimeDeleted},
+      {LK::Trapped, nullptr, RK::CompileTimeTrap},
+      {LK::Eliminated, "IntervalAnalysis", RK::IntervalEliminated},
+  };
+  for (const auto &M : Mapping)
+    if (E.Kind == M.Event && (!M.Pass || E.Pass == M.Pass)) {
+      Out = M.Remark;
+      return true;
+    }
+  return false;
+}
+
+void obs::emitEventRemarks(const Function &F,
+                           const std::vector<LifecycleEvent> &Events,
+                           size_t First, RemarkCollector &RC) {
+  for (size_t I = First; I < Events.size(); ++I) {
+    const LifecycleEvent &E = Events[I];
+    Remark R;
+    if (!remarkKindOf(E, R.Kind))
+      continue;
+    R.Pass = E.Pass;
+    R.Function = E.Function;
+    R.Block = E.Block;
+    R.CheckStr = E.CheckStr;
+    R.FamilyStr = E.Check.expr().str(F.symbols());
+    R.Bound = E.Check.bound();
+    R.Origin = E.Origin;
+    R.Justification = E.Justification;
+    RC.emit(std::move(R));
+  }
 }
 
 void obs::emitResidualCheckRemarks(const Module &M,

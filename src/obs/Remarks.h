@@ -1,12 +1,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Optimization remarks: a structured record of every per-check decision
-/// the optimizer makes, in the spirit of LLVM's -Rpass stream. Each pass
-/// (Elimination, CheckStrengthening, LazyCodeMotion, PreheaderInsertion,
-/// IntervalAnalysis) emits one remark per decision carrying the check,
-/// its family, the block, the verdict, and the justifying fact. Remark
-/// totals reconcile exactly with OptimizerStats, which tests assert.
+/// Optimization remarks: a per-decision view of the optimizer in the
+/// spirit of LLVM's -Rpass stream. Remarks are not recorded by the passes;
+/// they are a view of the check-lifecycle events (obs/Provenance.h), the
+/// optimizer's only record of its decisions. optimizeFunction converts each
+/// function's new events with one mapping (remarkKindOf):
+///
+///   lifecycle event                      remark
+///   SubsumedBy   / Elimination           eliminated
+///   Strengthened / CheckStrengthening    strengthened
+///   Inserted     / LazyCodeMotion        lcm-inserted
+///   Inserted     / PreheaderInsertion    cond-inserted
+///   Moved        / PreheaderInsertion    rehoisted
+///   Eliminated   / Elimination           compile-time-deleted
+///   Trapped      / any pass              compile-time-trap
+///   Eliminated   / IntervalAnalysis      interval-eliminated
+///
+/// Other events (PreheaderInsertion merges, "Unreachable" tail closures,
+/// lowering/INX events, Residualized) produce no remark. A remark carries
+/// the event's check, block, origin and justification plus the check's
+/// family expression. Remark totals reconcile exactly with OptimizerStats,
+/// which tests assert.
 ///
 /// The interpreter can additionally report per-site dynamic execution
 /// counts for the *residual* checks, which are joined back into the
@@ -19,6 +34,7 @@
 #define NASCENT_OBS_REMARKS_H
 
 #include "ir/Instruction.h"
+#include "obs/Provenance.h"
 
 #include <cstdint>
 #include <ostream>
@@ -97,12 +113,16 @@ private:
   std::vector<Remark> All;
 };
 
-/// Builds the common fields of a per-check remark: the rendered check and
-/// family strings use \p F's symbol table; \p BB is the block holding (or
-/// receiving) the check.
-Remark makeCheckRemark(RemarkKind Kind, std::string Pass, const Function &F,
-                       const BasicBlock &BB, const CheckExpr &CE,
-                       const CheckOrigin &Origin, std::string Justification);
+/// The remark kind \p E reads as (the table above); false when the event
+/// has no remark.
+bool remarkKindOf(const LifecycleEvent &E, RemarkKind &Out);
+
+/// Appends to \p RC, through its family filter, the remark of every event
+/// in \p Events from index \p First on that has one. The events must all
+/// have been recorded in \p F, whose symbol table renders the family.
+void emitEventRemarks(const Function &F,
+                      const std::vector<LifecycleEvent> &Events, size_t First,
+                      RemarkCollector &RC);
 
 /// Dynamic execution count of one surviving check site, reported by the
 /// interpreter when InterpOptions::CountCheckSites is set. The site is

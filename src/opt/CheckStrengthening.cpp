@@ -9,7 +9,6 @@ NASCENT_STAT(NumStrengthened, "opt.cs.strengthened",
 
 StrengtheningStats
 nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
-                               obs::RemarkCollector *Remarks,
                                obs::ProvenanceRecorder *Prov) {
   StrengtheningStats Stats;
   const CheckUniverse &U = Ctx.universe();
@@ -57,18 +56,13 @@ nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
           I.Check = U.check(M);
           ++Stats.ChecksStrengthened;
           ++NumStrengthened;
-          std::string Why =
-              "bound tightened from " + std::to_string(OldBound) + " to " +
-              std::to_string(I.Check.bound()) +
-              "; the stronger family member is anticipated here";
-          if (Remarks && Remarks->enabled())
-            Remarks->emit(obs::makeCheckRemark(
-                obs::RemarkKind::Strengthened, "CheckStrengthening", F, *BB,
-                I.Check, I.Origin, Why));
           if (Prov && Prov->enabled()) {
             obs::LifecycleEvent E = obs::makeLifecycleEvent(
                 obs::LifecycleKind::Strengthened, "CheckStrengthening", F,
-                *BB, I, Why);
+                *BB, I,
+                "bound tightened from " + std::to_string(OldBound) + " to " +
+                    std::to_string(I.Check.bound()) +
+                    "; the stronger family member is anticipated here");
             E.Edge = std::move(OldStr);
             Prov->record(std::move(E));
           }

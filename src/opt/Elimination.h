@@ -12,7 +12,6 @@
 #define NASCENT_OPT_ELIMINATION_H
 
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "opt/CheckContext.h"
 #include "support/Diagnostics.h"
 
@@ -28,25 +27,24 @@ struct EliminationStats {
 
 /// Deletes every plain check that some as-strong-as check makes available
 /// at its program point. \p Ctx must describe the current IR (including
-/// any facts from preheader insertion). One Eliminated remark per deleted
-/// check goes to \p Remarks when given; one terminal SubsumedBy lifecycle
-/// event per deleted check goes to \p Prov, citing the witness check tag
-/// when a single witness is determinable (an earlier check in the block,
-/// or the preheader conditional behind an entry fact).
+/// any facts from preheader insertion). One terminal SubsumedBy lifecycle
+/// event per deleted check goes to \p Prov when given (read as an
+/// `eliminated` remark), citing the witness check tag when a single
+/// witness is determinable (an earlier check in the block, or the
+/// preheader conditional behind an entry fact).
 EliminationStats eliminateRedundantChecks(Function &F,
                                           const CheckContext &Ctx,
-                                          obs::RemarkCollector *Remarks = nullptr,
                                           obs::ProvenanceRecorder *Prov = nullptr);
 
 /// Folds compile-time-constant checks and guards. Always-failing plain
 /// checks become TRAP terminators (truncating the rest of the block) and
-/// are reported into \p Diags as warnings. Deletions and traps emit
-/// remarks into \p Remarks and Eliminated / Trapped lifecycle events into
-/// \p Prov when given; the Trap inherits the folded check's tag, and
-/// checks swept away by block truncation get Eliminated events under the
-/// pass name "Unreachable".
+/// are reported into \p Diags as warnings. Deletions and traps record
+/// Eliminated / Trapped lifecycle events into \p Prov when given (read as
+/// `compile-time-deleted` / `compile-time-trap` remarks); the Trap
+/// inherits the folded check's tag, and checks swept away by block
+/// truncation get Eliminated events under the pass name "Unreachable",
+/// which have no remark.
 EliminationStats foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
-                                       obs::RemarkCollector *Remarks = nullptr,
                                        obs::ProvenanceRecorder *Prov = nullptr);
 
 } // namespace nascent

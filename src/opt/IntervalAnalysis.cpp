@@ -321,7 +321,6 @@ nascent::classifyChecksByIntervals(const Function &F,
 
 IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                                                   DiagnosticEngine &Diags,
-                                                  obs::RemarkCollector *Remarks,
                                                   obs::ProvenanceRecorder *Prov,
                                                   const LoopInfo *CachedLoops) {
   IntervalStats Stats;
@@ -337,14 +336,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
     for (size_t OIdx = 0; OIdx != NumOrig; ++OIdx) {
       switch (C.at(B, OIdx)) {
       case IntervalVerdict::AlwaysPasses: {
-        if (Remarks && Remarks->enabled()) {
-          const Instruction &I = Insts[Cur];
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::IntervalEliminated, "IntervalAnalysis", F,
-              *BB, I.Check, I.Origin,
-              "value ranges prove the check passes on every execution "
-              "reaching it"));
-        }
         if (WantProv)
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Eliminated, "IntervalAnalysis", F, *BB,
@@ -364,12 +355,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                           (I.Origin.ArrayName.empty()
                                ? std::string()
                                : " (array " + I.Origin.ArrayName + ")"));
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::CompileTimeTrap, "IntervalAnalysis", F, *BB,
-              I.Check, I.Origin,
-              "value ranges prove the check fails on every execution "
-              "reaching it; replaced by a trap"));
         if (WantProv) {
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Trapped, "IntervalAnalysis", F, *BB, I,

@@ -17,7 +17,6 @@
 
 #include "ir/Function.h"
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "support/Diagnostics.h"
 
 #include <cstdint>
@@ -108,12 +107,11 @@ classifyChecksByIntervals(const Function &F,
 /// value ranges prove redundant; checks proved to always fail become
 /// TRAP terminators and are reported into \p Diags. The analysis uses
 /// do-loop metadata to bound index variables inside their loops.
-/// IntervalEliminated / CompileTimeTrap remarks go to \p Remarks when
-/// given; Eliminated / Trapped lifecycle events (the Trap inherits the
-/// check's tag) go to \p Prov.
+/// Eliminated / Trapped lifecycle events (the Trap inherits the check's
+/// tag) go to \p Prov when given, read as `interval-eliminated` /
+/// `compile-time-trap` remarks.
 IntervalStats
 eliminateChecksByIntervals(Function &F, DiagnosticEngine &Diags,
-                           obs::RemarkCollector *Remarks = nullptr,
                            obs::ProvenanceRecorder *Prov = nullptr,
                            const LoopInfo *CachedLoops = nullptr);
 

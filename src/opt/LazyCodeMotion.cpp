@@ -31,7 +31,6 @@ InsertPoint pointForEdge(const Function &F, BlockID From, BlockID To) {
 
 LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
                                     LCMPlacement Placement,
-                                    obs::RemarkCollector *Remarks,
                                     obs::ProvenanceRecorder *Prov) {
   LCMStats Stats;
   const CheckUniverse &U = Ctx.universe();
@@ -199,17 +198,12 @@ LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
                                   ? "safe-earliest"
                                   : "latest-not-isolated";
   auto Note = [&](BlockID B, const Instruction &I, const char *Where) {
-    std::string Why = std::string("strongest family member placed at the ") +
-                      PlacementName + " point (" + Where +
-                      "); later occurrences become redundant";
-    if (Remarks && Remarks->enabled())
-      Remarks->emit(obs::makeCheckRemark(obs::RemarkKind::LcmInserted,
-                                         "LazyCodeMotion", F, *F.block(B),
-                                         I.Check, I.Origin, Why));
     if (Prov && Prov->enabled())
-      Prov->record(obs::makeLifecycleEvent(obs::LifecycleKind::Inserted,
-                                           "LazyCodeMotion", F, *F.block(B),
-                                           I, std::move(Why)));
+      Prov->record(obs::makeLifecycleEvent(
+          obs::LifecycleKind::Inserted, "LazyCodeMotion", F, *F.block(B), I,
+          std::string("strongest family member placed at the ") +
+              PlacementName + " point (" + Where +
+              "); later occurrences become redundant"));
   };
 
   for (size_t B = 0; B != AtStart.size(); ++B) {

@@ -17,7 +17,6 @@
 #define NASCENT_OPT_LAZYCODEMOTION_H
 
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "opt/CheckContext.h"
 
 namespace nascent {
@@ -40,12 +39,11 @@ struct LCMStats {
 ///
 /// At each insertion point only the strongest check per family is
 /// materialised; weaker family members earliest at the same point would be
-/// immediately redundant. One LcmInserted remark per materialised check
-/// goes to \p Remarks when given; inserted checks get fresh lifecycle
-/// tags and one Inserted event each into \p Prov.
+/// immediately redundant. Inserted checks get fresh lifecycle tags and
+/// one Inserted event each into \p Prov when given, read as an
+/// `lcm-inserted` remark.
 LCMStats runLazyCodeMotion(Function &F, const CheckContext &Ctx,
                            LCMPlacement Placement,
-                           obs::RemarkCollector *Remarks = nullptr,
                            obs::ProvenanceRecorder *Prov = nullptr);
 
 } // namespace nascent

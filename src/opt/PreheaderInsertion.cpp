@@ -111,7 +111,6 @@ PreheaderStats
 nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
                                const PreheaderOptions &Opts,
                                std::vector<PreheaderFact> &FactsOut,
-                               obs::RemarkCollector *Remarks,
                                obs::ProvenanceRecorder *Prov,
                                const LoopInfo *CachedLoops) {
   PreheaderStats Stats;
@@ -313,20 +312,14 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         I.Origin = P.Origin;
         I.Tag = F.allocateCheckTag();
         SourceTag = I.Tag;
-        std::string Why =
-            G.Substituted
-                ? "linear check hoisted via loop-limit substitution, "
-                  "guarded by loop entry"
-                : "loop-invariant check hoisted to the preheader, "
-                  "guarded by loop entry";
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::CondInserted, "PreheaderInsertion", F, *PH,
-              P.Check, P.Origin, Why));
         if (Prov && Prov->enabled())
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Inserted, "PreheaderInsertion", F, *PH, I,
-              std::move(Why)));
+              G.Substituted
+                  ? "linear check hoisted via loop-limit substitution, "
+                    "guarded by loop entry"
+                  : "loop-invariant check hoisted to the preheader, "
+                    "guarded by loop entry"));
         PH->insertBeforeTerminator(std::move(I));
         ++Stats.CondChecksInserted;
         ++NumCondInserted;
@@ -443,16 +436,6 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
           ++Stats.Substituted;
           ++NumSubstituted;
         }
-        std::string Why =
-            DidSubstitute
-                ? "conditional check re-hoisted from an inner preheader "
-                  "with loop-limit re-substitution"
-                : "conditional check re-hoisted from an inner preheader "
-                  "(guards and check invariant in the outer loop)";
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::Rehoisted, "PreheaderInsertion", F, *PH,
-              P.Check, P.Origin, Why));
         if (Prov && Prov->enabled()) {
           Instruction Shim;
           Shim.Op = Opcode::CondCheck;
@@ -461,7 +444,11 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
           Shim.Tag = MovedTag;
           obs::LifecycleEvent E = obs::makeLifecycleEvent(
               obs::LifecycleKind::Moved, "PreheaderInsertion", F, *PH, Shim,
-              std::move(Why));
+              DidSubstitute
+                  ? "conditional check re-hoisted from an inner preheader "
+                    "with loop-limit re-substitution"
+                  : "conditional check re-hoisted from an inner preheader "
+                    "(guards and check invariant in the outer loop)");
           E.Edge = OldStr;
           Prov->record(std::move(E));
           if (MergedInto) {

@@ -28,7 +28,6 @@
 #define NASCENT_OPT_PREHEADERINSERTION_H
 
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "opt/CheckContext.h"
 
 namespace nascent {
@@ -59,18 +58,18 @@ struct PreheaderOptions {
 /// Runs LI/LLS (or the restricted Markstein variant) over every do loop
 /// of \p F. Facts for the later elimination stage are appended to
 /// \p FactsOut, each carrying the lifecycle tag of the conditional check
-/// that establishes it. CondInserted / Rehoisted remarks go to \p Remarks
-/// when given. Lifecycle events into \p Prov: Inserted per fresh
-/// conditional check, Moved per re-hoist (the check keeps its tag), and a
-/// terminal SubsumedBy when a re-hoisted check merges into an identical
-/// conditional already in the target preheader.
+/// that establishes it. Lifecycle events into \p Prov when given:
+/// Inserted per fresh conditional check (read as a `cond-inserted`
+/// remark), Moved per re-hoist (the check keeps its tag; read as
+/// `rehoisted`), and a terminal SubsumedBy, which has no remark, when a
+/// re-hoisted check merges into an identical conditional already in the
+/// target preheader.
 /// \p CachedLoops, when given, is a loop forest already computed for this
 /// exact IR (the artifact cache shares one across identical compiles);
 /// otherwise the pass builds its own.
 PreheaderStats runPreheaderInsertion(Function &F, const CheckContext &Ctx,
                                      const PreheaderOptions &Opts,
                                      std::vector<PreheaderFact> &FactsOut,
-                                     obs::RemarkCollector *Remarks = nullptr,
                                      obs::ProvenanceRecorder *Prov = nullptr,
                                      const LoopInfo *CachedLoops = nullptr);
 

@@ -178,10 +178,21 @@ OptimizerStats nascent::optimizeFunction(Function &F,
                "functions optimized with this placement scheme")
       .inc();
 
-  obs::RemarkCollector *RC = Opts.Remarks;
   obs::TraceCollector *TC = Opts.Trace;
-  obs::ProvenanceRecorder *PV = Opts.Provenance;
   obs::TraceScope FnScope(TC, "fn " + F.name());
+
+  // The passes record their decisions only as lifecycle events; remarks
+  // are derived from this function's events once it is done, recorded
+  // locally when the caller keeps no provenance.
+  obs::RemarkCollector *RC =
+      Opts.Remarks && Opts.Remarks->enabled() ? Opts.Remarks : nullptr;
+  obs::ProvenanceRecorder LocalPV;
+  obs::ProvenanceRecorder *PV =
+      Opts.Provenance && Opts.Provenance->enabled() ? Opts.Provenance
+                                                    : &LocalPV;
+  if (RC && PV == &LocalPV)
+    LocalPV.enable();
+  size_t FirstEvent = PV->events().size();
 
   // PRE-style insertion works on edges: normalise the CFG first.
   F.splitCriticalEdges();
@@ -208,7 +219,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "strengthen");
     Stats.ChecksStrengthened =
-        runCheckStrengthening(F, *Ctx, RC, PV).ChecksStrengthened;
+        runCheckStrengthening(F, *Ctx, PV).ChecksStrengthened;
     // Strengthening rewrites check payloads in place and does nothing
     // else: zero rewrites means the IR is untouched and the elimination
     // context below may still reuse the pre-stage seed.
@@ -227,7 +238,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
                           Opts.Scheme == PlacementScheme::SE
                               ? LCMPlacement::SafeEarliest
                               : LCMPlacement::LatestNotIsolated,
-                          RC, PV)
+                          PV)
             .ChecksInserted;
     // LCM's only IR mutations are the counted insertions.
     if (Stats.ChecksInserted)
@@ -246,7 +257,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     PO.MarksteinRestriction = Opts.Scheme == PlacementScheme::MCM;
     obs::TraceScope Scope(TC, "preheader-insert");
     PreheaderStats PS =
-        runPreheaderInsertion(F, *Ctx, PO, Facts, RC, PV, CachedLoops);
+        runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
     Stats.CondChecksInserted = PS.CondChecksInserted;
     Stats.Rehoisted = PS.Rehoisted;
     // Preheader insertion mutates only through counted insertions and
@@ -260,7 +271,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
     obs::TraceScope Scope(TC, "interval-analysis");
     IntervalStats IS =
-        eliminateChecksByIntervals(F, Diags, RC, PV, CachedLoops);
+        eliminateChecksByIntervals(F, Diags, PV, CachedLoops);
     Stats.IntervalDeleted = IS.ChecksProvedRedundant;
     Stats.CompileTimeTraps += IS.ChecksProvedViolating;
     if (IS.ChecksProvedRedundant || IS.ChecksProvedViolating)
@@ -276,7 +287,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       PreheaderOptions PO;
       obs::TraceScope Scope(TC, "preheader-insert");
       PreheaderStats PS =
-          runPreheaderInsertion(F, *Ctx, PO, Facts, RC, PV, CachedLoops);
+          runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
       Stats.CondChecksInserted = PS.CondChecksInserted;
       Stats.Rehoisted = PS.Rehoisted;
       if (PS.CondChecksInserted || PS.Rehoisted)
@@ -288,7 +299,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       auto Ctx = Contexts.make(Facts);
       obs::TraceScope Scope(TC, "lcm-place");
       Stats.ChecksInserted =
-          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, RC, PV)
+          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PV)
               .ChecksInserted;
       if (Stats.ChecksInserted)
         Contexts.IRDirty = true;
@@ -307,22 +318,24 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "eliminate");
-    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, RC, PV);
+    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, PV);
     Stats.ChecksDeleted = ES.ChecksDeleted;
   }
 
   // Step 5: compile-time checks. Accumulate (not assign) the trap count:
-  // the AI scheme contributes interval-proved traps above, and remark
+  // the AI scheme contributes interval-proved traps above, and event
   // totals must reconcile with the stats.
   {
     obs::TraceScope Scope(TC, "fold-consts");
-    EliminationStats ES = foldCompileTimeChecks(F, Diags, RC, PV);
+    EliminationStats ES = foldCompileTimeChecks(F, Diags, PV);
     Stats.CompileTimeDeleted = ES.CompileTimeDeleted;
     Stats.CompileTimeTraps += ES.CompileTimeTraps;
     F.recomputePreds();
   }
 
   Stats.ChecksAfter = countStaticChecks(F);
+  if (RC)
+    obs::emitEventRemarks(F, PV->events(), FirstEvent, *RC);
   return Stats;
 }
 

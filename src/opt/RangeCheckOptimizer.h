@@ -64,8 +64,11 @@ struct RangeCheckOptions {
   /// paper's primed variants (NI', SE'), CrossFamilyOnly gives LLS'.
   ImplicationMode Implications = ImplicationMode::All;
 
-  /// When set (and enabled), every pass emits one structured remark per
-  /// per-check decision; remark totals reconcile with OptimizerStats.
+  /// When set (and enabled), receives one structured remark per per-check
+  /// decision, derived from the function's lifecycle events when it is
+  /// done (obs/Remarks.h has the mapping); remark totals reconcile with
+  /// OptimizerStats. The events come from Provenance when that is enabled,
+  /// otherwise from a recorder local to the function.
   obs::RemarkCollector *Remarks = nullptr;
   /// When set (and enabled), optimizer stages record trace spans.
   obs::TraceCollector *Trace = nullptr;

@@ -287,6 +287,21 @@ end function
   EXPECT_EQ(E.St, ExecResult::Status::CallDepthExceeded);
 }
 
+TEST(Interpreter, UnallocatableArrayIsARuntimeError) {
+  // One array too long for a std::vector, one larger than memory: both
+  // end the run cleanly, before any instruction executes.
+  for (const char *Decl :
+       {"real a(9223372036854775807)", "real a(100000,100000,100000)"}) {
+    ExecResult E = runNaive(std::string("program p\n  ") + Decl +
+                            "\n  print 1\nend program\n");
+    EXPECT_EQ(E.St, ExecResult::Status::AllocationFailed) << Decl;
+    EXPECT_NE(E.FaultMessage.find("cannot allocate array 'a'"),
+              std::string::npos)
+        << E.FaultMessage;
+    EXPECT_TRUE(E.Output.empty()) << Decl;
+  }
+}
+
 TEST(Interpreter, UninitialisedVariablesAreZero) {
   ExecResult E = runNaive(R"(
 program p

@@ -232,6 +232,17 @@ TEST(Sema, EmptyArrayDimensionRejected) {
   semaFails("program p\n real a(5:3)\nend program", "empty dimension");
 }
 
+TEST(Sema, OverflowingArraySizeRejected) {
+  // The extent of one dimension overflows int64_t...
+  semaFails("program p\n real a(-9223372036854775807:9223372036854775807)\n"
+            "end program",
+            "too large");
+  // ...or every extent fits but their product does not.
+  semaFails("program p\n integer b(4000000000,4000000000,4000000000)\n"
+            "end program",
+            "too large");
+}
+
 TEST(Sema, ParameterMustBeDeclared) {
   semaFails(R"(
 program p
