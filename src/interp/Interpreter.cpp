@@ -8,18 +8,23 @@
 #include "obs/StatRegistry.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <new>
 #include <stdexcept>
-#include <tuple>
+#include <unordered_map>
 
 using namespace nascent;
 
 NASCENT_STAT(NumRuns, "interp.runs", "module executions");
 NASCENT_STAT(NumDynChecks, "interp.dyn_checks",
              "range checks executed across all runs");
+NASCENT_STAT(NumOps, "interp.ops",
+             "operations executed across all runs, checks included, "
+             "unweighted");
 
 namespace {
 
@@ -39,27 +44,393 @@ struct ArrayStorage {
   }
 };
 
-/// One scalar cell; the active member follows the symbol's type.
+/// One frame slot. A symbol's slot uses the member its type names; the
+/// other stays as last written, exactly as the IR's value semantics have
+/// it. A constant's slot holds the value both ways it can be read.
 struct Cell {
   int64_t I = 0;
   double R = 0.0;
 };
 
-/// One call frame.
-struct Frame {
-  const Function *F = nullptr;
-  std::vector<Cell> Scalars;           ///< by SymbolID
-  std::vector<ArrayStorage *> Arrays;  ///< by SymbolID (aliases for params)
-  std::vector<std::unique_ptr<ArrayStorage>> Owned;
-
-  explicit Frame(const Function &Fn) : F(&Fn) {
-    Scalars.resize(Fn.symbols().size());
-    Arrays.resize(Fn.symbols().size(), nullptr);
-  }
+/// Decoded opcodes: the IR opcodes specialised by the operand and result
+/// types resolved at decode time (the I and R forms follow the IR opcode
+/// order). The R forms read real-valued slots: real symbols and all
+/// constants, or the slot a Convert op fills when an integer symbol is
+/// read as a real (the front end converts explicitly, so only hand-built
+/// IR needs one). Load and Store follow the element type of the storage
+/// they reach, which for an array parameter is the caller's.
+enum class XOp : uint8_t {
+  AddI, SubI, MulI, DivI, ModI, NegI, MinI, MaxI, AbsI,
+  AddR, SubR, MulR, DivR, ModR, NegR, MinR, MaxR, AbsR,
+  EqI, NeI, LtI, LeI, GtI, GeI,
+  EqR, NeR, LtR, LeR, GtR, GeR,
+  And, Or, Not,
+  CopyI, CopyR, IntToReal, RealToInt,
+  Convert, ///< D = A read both ways; inserted by the decoder, uncounted
+  Load, Store,
+  Check, CondCheck, Trap,
+  Br, Jump, Ret, RetI, RetR,
+  Call, CallUnknown,
+  PrintI, PrintR, PrintB,
+  FellOff, ///< the sentinel ending every block
 };
 
-/// The interpreter proper. The Call instruction marshals arguments into a
-/// fresh frame and recurses through execute().
+/// One decoded operation. Operands are frame-slot indices: symbols keep
+/// their SymbolID, constants live in the slots after them. The site
+/// coordinates (Block, Index, Tag) name the IR instruction the op came
+/// from, for fault messages, the profiler, and check-site counts.
+struct Op {
+  XOp Code = XOp::FellOff;
+  /// instructionCost; 1 for checks, 0 for Convert and FellOff.
+  uint32_t Cost = 0;
+  /// Arithmetic and compares: D = A op B. Load: D = array A, rank B,
+  /// subscripts at X. Store: value D into array A, rank B, subscripts at
+  /// X. Check: check record X. CondCheck: check record X, B guard records
+  /// after it. Br: on A to op D, else op B. Jump: to op D. RetI/RetR,
+  /// Print: A. Call: call site X.
+  uint32_t D = 0, A = 0, B = 0, X = 0;
+  BlockID Block = 0;
+  uint32_t Index = 0;
+  CheckTag Tag = NoCheckTag;
+};
+
+/// One canonical check "sum of terms <= Bound", its terms a range of the
+/// function's term array.
+struct CheckRecord {
+  uint32_t TermBegin = 0, TermEnd = 0;
+  int64_t Bound = 0;
+};
+
+/// How one call argument reaches its parameter.
+struct ArgMove {
+  enum Kind : uint8_t { Array, Int, Real } K = Int;
+  uint32_t From = 0; ///< caller slot (caller array symbol for Array)
+  SymbolID To = 0;   ///< callee parameter
+};
+
+struct DecodedFunction;
+
+struct CallSite {
+  const Function *Callee = nullptr;
+  DecodedFunction *Decoded = nullptr; ///< the callee's, from its first call
+  uint32_t ArgBegin = 0, ArgEnd = 0;
+  SymbolID Dest = InvalidSymbol;
+  bool DestReal = false;
+};
+
+/// A function decoded for execution: one op array with a FellOff sentinel
+/// after each block, plus the side tables the ops index.
+struct DecodedFunction {
+  const Function *F = nullptr;
+  std::vector<Op> Ops;
+  uint32_t EntryPc = 0;
+  std::vector<uint32_t> Subscripts; ///< Load/Store subscript slots
+  std::vector<std::pair<uint32_t, int64_t>> Terms; ///< (slot, coeff)
+  std::vector<CheckRecord> Checks;
+  std::vector<CallSite> Calls;
+  std::vector<ArgMove> Args;
+  /// A fresh frame's slots: zeroed symbols, then the constants and the
+  /// Convert results.
+  std::vector<Cell> InitialSlots;
+  /// Non-parameter arrays, allocated per frame in symbol order.
+  std::vector<SymbolID> LocalArrays;
+  /// Index into the attached profile's functions (NoFunction when none).
+  size_t ProfileFn = obs::ExecutionProfile::NoFunction;
+  /// Check executions per op (CountCheckSites only).
+  std::vector<uint64_t> SiteHits;
+};
+
+/// One call frame.
+struct Frame {
+  std::vector<Cell> Slots;
+  std::vector<ArrayStorage *> Arrays; ///< by SymbolID (aliases for params)
+  std::vector<std::unique_ptr<ArrayStorage>> Owned;
+};
+
+/// The dynamic counters, kept in locals by the dispatch loop and written
+/// back at every exit and around calls. Steps is DynInstrs + DynChecks.
+struct Counters {
+  uint64_t Steps = 0;
+  uint64_t Checks = 0;
+  uint64_t CondChecks = 0;
+  uint64_t Ops = 0;
+};
+
+/// Translates one function's IR into its DecodedFunction.
+class Decoder {
+public:
+  Decoder(const Module &M, DecodedFunction &DF)
+      : M(M), F(*DF.F), Syms(F.symbols()), DF(DF) {}
+
+  void run() {
+    DF.InitialSlots.resize(Syms.size());
+    for (SymbolID S = 0; S != Syms.size(); ++S)
+      if (Syms.get(S).isArray() && !Syms.get(S).IsParam)
+        DF.LocalArrays.push_back(S);
+
+    std::vector<uint32_t> BlockStart(F.numBlocks());
+    for (BlockID B = 0; B != F.numBlocks(); ++B) {
+      BlockStart[B] = static_cast<uint32_t>(DF.Ops.size());
+      const auto &Instrs = F.block(B)->instructions();
+      for (uint32_t Idx = 0; Idx != Instrs.size(); ++Idx) {
+        size_t First = DF.Ops.size();
+        Op O = decode(Instrs[Idx]); // may emit Convert ops first
+        O.Cost = static_cast<uint32_t>(instructionCost(Instrs[Idx]));
+        O.Tag = Instrs[Idx].Tag;
+        DF.Ops.push_back(O);
+        for (size_t K = First; K != DF.Ops.size(); ++K) {
+          DF.Ops[K].Block = B;
+          DF.Ops[K].Index = Idx;
+        }
+      }
+      Op End;
+      End.Block = B;
+      End.Index = static_cast<uint32_t>(Instrs.size());
+      DF.Ops.push_back(End);
+    }
+    if (DF.Ops.empty())
+      DF.Ops.push_back(Op()); // no blocks: fall off bb0
+    // Branch targets were decoded as block ids.
+    for (Op &O : DF.Ops) {
+      if (O.Code == XOp::Br || O.Code == XOp::Jump)
+        O.D = BlockStart[O.D];
+      if (O.Code == XOp::Br)
+        O.B = BlockStart[O.B];
+    }
+    DF.EntryPc = BlockStart.empty() ? 0 : BlockStart[F.entryBlock()];
+  }
+
+private:
+  /// The slot holding \p V; constants get one slot per distinct value.
+  uint32_t slot(const Value &V) {
+    if (V.isSym())
+      return V.symbol();
+    Cell C;
+    if (V.isRealConst()) {
+      C.R = V.realValue();
+    } else if (V.isIntConst() || V.isBoolConst()) {
+      C.I = V.intValue();
+      C.R = static_cast<double>(C.I);
+    }
+    uint64_t RBits;
+    std::memcpy(&RBits, &C.R, sizeof RBits);
+    auto [It, New] = ConstSlots.try_emplace(
+        {C.I, RBits}, static_cast<uint32_t>(DF.InitialSlots.size()));
+    if (New)
+      DF.InitialSlots.push_back(C);
+    return It->second;
+  }
+
+  /// The slot holding \p V read as a real: an integer symbol is converted
+  /// into a slot of its own by a Convert op emitted ahead of its reader.
+  uint32_t realSlot(const Value &V) {
+    if (!V.isSym() || Syms.get(V.symbol()).Type == ScalarType::Real)
+      return slot(V);
+    Op C;
+    C.Code = XOp::Convert;
+    C.A = V.symbol();
+    C.D = static_cast<uint32_t>(DF.InitialSlots.size());
+    DF.InitialSlots.emplace_back();
+    DF.Ops.push_back(C);
+    return C.D;
+  }
+
+  bool isReal(const Value &V) const {
+    return V.isSym() ? Syms.get(V.symbol()).Type == ScalarType::Real
+                     : V.isRealConst();
+  }
+
+  bool destReal(const Instruction &I) const {
+    return Syms.get(I.Dest).Type == ScalarType::Real;
+  }
+
+  uint32_t addCheck(const CheckExpr &C) {
+    assert(C.expr().constantPart() == 0 && "check not in canonical form");
+    CheckRecord Rec;
+    Rec.TermBegin = static_cast<uint32_t>(DF.Terms.size());
+    for (const auto &[Sym, Coeff] : C.expr().terms())
+      DF.Terms.push_back({Sym, Coeff});
+    Rec.TermEnd = static_cast<uint32_t>(DF.Terms.size());
+    Rec.Bound = C.bound();
+    DF.Checks.push_back(Rec);
+    return static_cast<uint32_t>(DF.Checks.size() - 1);
+  }
+
+  uint32_t addSubscripts(const std::vector<Value> &Indices) {
+    uint32_t Begin = static_cast<uint32_t>(DF.Subscripts.size());
+    for (const Value &V : Indices)
+      DF.Subscripts.push_back(slot(V));
+    return Begin;
+  }
+
+  static XOp pick(Opcode Op, Opcode First, XOp FirstX) {
+    return static_cast<XOp>(static_cast<unsigned>(FirstX) +
+                            (static_cast<unsigned>(Op) -
+                             static_cast<unsigned>(First)));
+  }
+
+  /// Sets \p O's operands to \p I's, read as reals when \p Real.
+  void operands(Op &O, const Instruction &I, bool Real) {
+    O.A = Real ? realSlot(I.Operands[0]) : slot(I.Operands[0]);
+    O.B = I.Operands.size() < 2 ? O.A
+          : Real                ? realSlot(I.Operands[1])
+                                : slot(I.Operands[1]);
+  }
+
+  Op decode(const Instruction &I) {
+    Op O;
+    O.D = I.Dest;
+    switch (I.Op) {
+    case Opcode::Add:
+    case Opcode::Sub:
+    case Opcode::Mul:
+    case Opcode::Div:
+    case Opcode::Mod:
+    case Opcode::Neg:
+    case Opcode::Min:
+    case Opcode::Max:
+    case Opcode::Abs: {
+      bool Real = destReal(I);
+      operands(O, I, Real);
+      O.Code = pick(I.Op, Opcode::Add, Real ? XOp::AddR : XOp::AddI);
+      break;
+    }
+    case Opcode::CmpEQ:
+    case Opcode::CmpNE:
+    case Opcode::CmpLT:
+    case Opcode::CmpLE:
+    case Opcode::CmpGT:
+    case Opcode::CmpGE: {
+      // One real operand makes the compare real.
+      bool Real = isReal(I.Operands[0]) || isReal(I.Operands[1]);
+      operands(O, I, Real);
+      O.Code = pick(I.Op, Opcode::CmpEQ, Real ? XOp::EqR : XOp::EqI);
+      break;
+    }
+    case Opcode::And:
+    case Opcode::Or:
+    case Opcode::Not:
+    case Opcode::IntToReal:
+      operands(O, I, false);
+      O.Code = I.Op == Opcode::And   ? XOp::And
+               : I.Op == Opcode::Or  ? XOp::Or
+               : I.Op == Opcode::Not ? XOp::Not
+                                     : XOp::IntToReal;
+      break;
+    case Opcode::RealToInt:
+      operands(O, I, true);
+      O.Code = XOp::RealToInt;
+      break;
+    case Opcode::Copy: {
+      bool Real = destReal(I);
+      operands(O, I, Real);
+      O.Code = Real ? XOp::CopyR : XOp::CopyI;
+      break;
+    }
+    case Opcode::Load:
+    case Opcode::Store:
+      O.Code = I.Op == Opcode::Load ? XOp::Load : XOp::Store;
+      O.A = I.Array;
+      O.B = static_cast<uint32_t>(I.Indices.size());
+      O.X = addSubscripts(I.Indices);
+      // A Store's storage decides whether the value is read as an
+      // integer or a real; a converted slot serves both.
+      if (I.Op == Opcode::Store)
+        O.D = realSlot(I.Operands[0]);
+      break;
+    case Opcode::Check:
+      O.Code = XOp::Check;
+      O.X = addCheck(I.Check);
+      break;
+    case Opcode::CondCheck:
+      O.Code = XOp::CondCheck;
+      O.X = addCheck(I.Check);
+      for (const CheckExpr &G : I.Guards)
+        addCheck(G);
+      O.B = static_cast<uint32_t>(I.Guards.size());
+      break;
+    case Opcode::Trap:
+      O.Code = XOp::Trap;
+      break;
+    case Opcode::Br:
+      O.Code = XOp::Br;
+      O.A = slot(I.Operands[0]);
+      O.D = I.TrueTarget;
+      O.B = I.FalseTarget;
+      break;
+    case Opcode::Jump:
+      O.Code = XOp::Jump;
+      O.D = I.TrueTarget;
+      break;
+    case Opcode::Ret:
+      if (I.Operands.empty()) {
+        O.Code = XOp::Ret;
+      } else if (F.resultType() == ScalarType::Real) {
+        O.Code = XOp::RetR;
+        O.A = realSlot(I.Operands[0]);
+      } else {
+        O.Code = XOp::RetI;
+        O.A = slot(I.Operands[0]);
+      }
+      break;
+    case Opcode::Call: {
+      const Function *Callee = M.function(I.Callee);
+      if (!Callee) {
+        O.Code = XOp::CallUnknown;
+        break;
+      }
+      O.Code = XOp::Call;
+      O.X = static_cast<uint32_t>(DF.Calls.size());
+      CallSite CS;
+      CS.Callee = Callee;
+      CS.ArgBegin = static_cast<uint32_t>(DF.Args.size());
+      for (size_t K = 0; K != I.Operands.size(); ++K) {
+        ArgMove A;
+        A.To = Callee->params()[K];
+        const Symbol &PS = Callee->symbols().get(A.To);
+        if (PS.isArray()) {
+          A.K = ArgMove::Array;
+          A.From = I.Operands[K].symbol();
+        } else if (PS.Type == ScalarType::Real) {
+          A.K = ArgMove::Real;
+          A.From = realSlot(I.Operands[K]);
+        } else {
+          A.K = ArgMove::Int;
+          A.From = slot(I.Operands[K]);
+        }
+        DF.Args.push_back(A);
+      }
+      CS.ArgEnd = static_cast<uint32_t>(DF.Args.size());
+      CS.Dest = I.Dest;
+      CS.DestReal = I.Dest != InvalidSymbol && destReal(I);
+      DF.Calls.push_back(CS);
+      break;
+    }
+    case Opcode::Print: {
+      const Value &V = I.Operands[0];
+      O.A = slot(V);
+      if (isReal(V))
+        O.Code = XOp::PrintR;
+      else if (V.isSym() && Syms.get(V.symbol()).Type == ScalarType::Bool)
+        O.Code = XOp::PrintB;
+      else
+        O.Code = XOp::PrintI;
+      break;
+    }
+    }
+    return O;
+  }
+
+  const Module &M;
+  const Function &F;
+  const SymbolTable &Syms;
+  DecodedFunction &DF;
+  std::map<std::pair<int64_t, uint64_t>, uint32_t> ConstSlots;
+};
+
+/// The interpreter proper: decodes each function on its first call and
+/// runs the decoded ops. The Call op marshals arguments into a fresh
+/// frame and recurses through run().
 class Executor {
 public:
   Executor(const Module &M, const InterpOptions &Opts, ExecResult &R)
@@ -69,18 +440,61 @@ public:
   }
 
   void runEntry(const Function &F) {
+    DecodedFunction &DF = decoded(&F);
     Cell Dummy;
-    Frame Fr = makeFrame(F);
-    execute(Fr, Dummy, 0);
+    Frame Fr;
+    makeFrame(DF, Fr);
+    if (Prof || Opts.CountCheckSites)
+      run<true>(DF, Fr, Dummy, 0);
+    else
+      run<false>(DF, Fr, Dummy, 0);
+    R.DynInstrs = Cnt.Steps - Cnt.Checks;
+    R.DynChecks = Cnt.Checks;
+    R.DynCondChecks = Cnt.CondChecks;
+  }
+
+  uint64_t opsExecuted() const { return Cnt.Ops; }
+
+  /// Per-site check execution tallies (CountCheckSites only), ordered by
+  /// (function in module order, block, instruction index).
+  std::vector<obs::CheckSiteCount> checkSites() const {
+    std::vector<obs::CheckSiteCount> Sites;
+    for (const Function *F : M.functions()) {
+      auto It = Decoded.find(F);
+      if (It == Decoded.end())
+        continue;
+      // Ops run in block and instruction order, so the sites come out
+      // sorted.
+      const DecodedFunction &DF = *It->second;
+      for (size_t Pc = 0; Pc != DF.SiteHits.size(); ++Pc)
+        if (DF.SiteHits[Pc] != 0)
+          Sites.push_back({F->name(), DF.Ops[Pc].Block, DF.Ops[Pc].Index,
+                           DF.SiteHits[Pc], DF.Ops[Pc].Tag});
+    }
+    return Sites;
   }
 
 private:
-  Frame makeFrame(const Function &F) {
-    Frame Fr(F);
-    for (SymbolID S = 0; S != F.symbols().size(); ++S) {
-      const Symbol &Sym = F.symbols().get(S);
-      if (!Sym.isArray() || Sym.IsParam)
-        continue;
+  /// \p F's decoded form, decoding it on first use.
+  DecodedFunction &decoded(const Function *F) {
+    std::unique_ptr<DecodedFunction> &DF = Decoded[F];
+    if (!DF) {
+      DF = std::make_unique<DecodedFunction>();
+      DF->F = F;
+      Decoder(M, *DF).run();
+      if (Prof)
+        DF->ProfileFn = Prof->functionIndex(F);
+      if (Opts.CountCheckSites)
+        DF->SiteHits.assign(DF->Ops.size(), 0);
+    }
+    return *DF;
+  }
+
+  void makeFrame(const DecodedFunction &DF, Frame &Fr) {
+    Fr.Slots = DF.InitialSlots;
+    Fr.Arrays.assign(DF.F->symbols().size(), nullptr);
+    for (SymbolID S : DF.LocalArrays) {
+      const Symbol &Sym = DF.F->symbols().get(S);
       // A declared size beyond memory is the program's runtime error; the
       // frame stays unexecuted because the fault halts the run.
       try {
@@ -94,7 +508,6 @@ private:
       }
       Fr.Arrays[S] = Fr.Owned.back().get();
     }
-    return Fr;
   }
 
   bool halted() const { return R.St != ExecResult::Status::Ok; }
@@ -112,53 +525,52 @@ private:
     R.FaultMessage = std::move(Msg);
   }
 
-  int64_t intOf(const Frame &Fr, const Value &V) const {
-    if (V.isSym())
-      return Fr.Scalars[V.symbol()].I;
-    return V.intValue();
+  static const Instruction &instruction(const DecodedFunction &DF,
+                                        const Op &O) {
+    return DF.F->block(O.Block)->instructions()[O.Index];
   }
 
-  double realOf(const Frame &Fr, const Value &V) const {
-    if (V.isSym()) {
-      const Symbol &S = Fr.F->symbols().get(V.symbol());
-      if (S.Type == ScalarType::Real)
-        return Fr.Scalars[V.symbol()].R;
-      return static_cast<double>(Fr.Scalars[V.symbol()].I);
-    }
-    if (V.isRealConst())
-      return V.realValue();
-    return static_cast<double>(V.intValue());
-  }
-
-  bool operandIsReal(const Frame &Fr, const Value &V) const {
-    if (V.isSym())
-      return Fr.F->symbols().get(V.symbol()).Type == ScalarType::Real;
-    return V.isRealConst();
-  }
-
-  bool checkHolds(const Frame &Fr, const CheckExpr &C) const {
-    int64_t V =
-        C.expr().evaluate([&](SymbolID S) { return Fr.Scalars[S].I; });
-    return V <= C.bound();
-  }
-
-  std::string checkFailureMessage(const Frame &Fr, const Instruction &I) {
+  void faultCheck(const DecodedFunction &DF, const Op &O) {
+    const Instruction &I = instruction(DF, O);
     std::string Msg =
-        "range check failed: " + I.Check.str(Fr.F->symbols());
+        "range check failed: " + I.Check.str(DF.F->symbols());
     if (!I.Origin.ArrayName.empty())
       Msg += " (array " + I.Origin.ArrayName + ", dim " +
              std::to_string(I.Origin.Dim + 1) +
              (I.Origin.IsUpper ? ", upper" : ", lower") + " bound, line " +
              I.Origin.Loc.str() + ")";
-    return Msg;
+    fault(ExecResult::Status::Trapped, std::move(Msg));
   }
 
-  bool flattenIndex(const Frame &Fr, const ArrayStorage &A,
-                    const std::vector<Value> &Indices, size_t &Out) {
+  void faultAccess(const DecodedFunction &DF, const Op &O, bool Bound) {
+    if (!Bound) {
+      fault(ExecResult::Status::HardFault, "unbound array parameter");
+      return;
+    }
+    const char *What = O.Code == XOp::Store ? "out-of-bounds store on array "
+                                            : "out-of-bounds access on array ";
+    fault(ExecResult::Status::HardFault,
+          What + DF.F->symbols().get(O.A).Name +
+              " (a range check should have fired)");
+  }
+
+  static bool holds(const DecodedFunction &DF, const Cell *S,
+                    const CheckRecord &C) {
+    int64_t V = 0;
+    for (uint32_t T = C.TermBegin; T != C.TermEnd; ++T)
+      V += DF.Terms[T].second * S[DF.Terms[T].first].I;
+    return V <= C.Bound;
+  }
+
+  /// The element offset of the access \p O into \p A; false when a
+  /// subscript is out of bounds.
+  static bool offset(const DecodedFunction &DF, const Cell *S,
+                     const ArrayStorage &A, const Op &O, size_t &Out) {
+    const uint32_t *Sub = DF.Subscripts.data() + O.X;
     size_t Offset = 0;
     size_t Stride = 1;
-    for (size_t D = 0; D != Indices.size(); ++D) {
-      int64_t Idx = intOf(Fr, Indices[D]);
+    for (uint32_t D = 0; D != O.B; ++D) {
+      int64_t Idx = S[Sub[D]].I;
       const ArrayDim &Dim = A.Shape.Dims[D];
       if (Idx < Dim.Lower || Idx > Dim.Upper)
         return false;
@@ -169,46 +581,35 @@ private:
     return true;
   }
 
-  void storeScalar(Frame &Fr, SymbolID Dest, ScalarType Ty, int64_t IV,
-                   double RV) {
-    if (Ty == ScalarType::Real)
-      Fr.Scalars[Dest].R = RV;
-    else
-      Fr.Scalars[Dest].I = IV;
-  }
-
-  void execute(Frame &Fr, Cell &ResultOut, unsigned Depth);
+  template <bool Observed>
+  void run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut, unsigned Depth);
 
   const Module &M;
   const InterpOptions &Opts;
   ExecResult &R;
   obs::ExecutionProfile *Prof = nullptr;
-
-public:
-  /// Per-site check execution tallies (CountCheckSites only), keyed by
-  /// (function, block, instruction index).
-  std::map<std::tuple<const Function *, BlockID, size_t>, uint64_t>
-      SiteCounts;
+  std::unordered_map<const Function *, std::unique_ptr<DecodedFunction>>
+      Decoded;
+  Counters Cnt;
 };
 
-void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
+template <bool Observed>
+void Executor::run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
+                   unsigned Depth) {
   if (Depth > Opts.MaxCallDepth) {
     fault(ExecResult::Status::CallDepthExceeded, "call depth exceeded");
     return;
   }
-  const Function &F = *Fr.F;
-  const SymbolTable &Syms = F.symbols();
-  BlockID Cur = F.entryBlock();
-  size_t Idx = 0;
 
   // Per-frame profiling state: loops in recursive activations count
   // independently, and the flush guard closes still-open loop entries as
   // partial no matter how the frame dies (trap, fault, in-loop return).
-  size_t PFn = Prof ? Prof->functionIndex(Fr.F)
-                    : obs::ExecutionProfile::NoFunction;
-  obs::ExecutionProfile *P =
-      PFn == obs::ExecutionProfile::NoFunction ? nullptr : Prof;
+  obs::ExecutionProfile *P = nullptr;
+  size_t PFn = DF.ProfileFn;
   obs::ProfileFrameState PFS;
+  if constexpr (Observed)
+    if (PFn != obs::ExecutionProfile::NoFunction)
+      P = Prof;
   struct FrameFlush {
     obs::ExecutionProfile *P;
     size_t Fn;
@@ -220,371 +621,310 @@ void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
   } Flush{P, PFn, PFS};
   if (P) {
     PFS = P->makeFrameState(PFn);
-    P->enterBlock(PFn, Cur, PFS);
+    P->enterBlock(PFn, DF.F->entryBlock(), PFS);
   }
+  if (halted())
+    return;
 
-  while (!halted()) {
-    const BasicBlock *BB = F.block(Cur);
-    if (Idx >= BB->size()) {
-      fault(ExecResult::Status::HardFault,
-            "fell off the end of block bb" + std::to_string(Cur));
-      return;
-    }
-    const Instruction &I = BB->instructions()[Idx];
+  const Op *Code = DF.Ops.data();
+  const CheckRecord *Checks = DF.Checks.data();
+  Cell *S = Fr.Slots.data();
+  const uint64_t MaxSteps = Opts.MaxSteps;
+  Counters C = Cnt;
+  uint32_t Pc = DF.EntryPc;
 
-    if (R.DynInstrs + R.DynChecks >= Opts.MaxSteps) {
+  for (;;) {
+    const Op &O = Code[Pc];
+    // Falling off a block is reported even at the step limit.
+    if (C.Steps >= MaxSteps && O.Code != XOp::FellOff) [[unlikely]] {
       fault(ExecResult::Status::StepLimit, "step limit exceeded");
-      return;
+      goto Exit;
     }
-    if (I.isRangeCheck()) {
-      ++R.DynChecks;
-      if (I.Op == Opcode::CondCheck)
-        ++R.DynCondChecks;
-      if (Opts.CountCheckSites)
-        obs::saturatingInc(SiteCounts[{Fr.F, Cur, Idx}]);
-    } else {
-      R.DynInstrs += instructionCost(I);
-    }
+    C.Steps += O.Cost;
+    ++C.Ops;
 
-    switch (I.Op) {
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Mod:
-    case Opcode::Min:
-    case Opcode::Max: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        double B = realOf(Fr, I.Operands[1]);
-        double Out = 0;
-        switch (I.Op) {
-        case Opcode::Add:
-          Out = A + B;
-          break;
-        case Opcode::Sub:
-          Out = A - B;
-          break;
-        case Opcode::Mul:
-          Out = A * B;
-          break;
-        case Opcode::Div:
-          Out = B == 0.0 ? 0.0 : A / B;
-          break;
-        case Opcode::Min:
-          Out = std::min(A, B);
-          break;
-        case Opcode::Max:
-          Out = std::max(A, B);
-          break;
-        default:
-          break;
-        }
-        Fr.Scalars[I.Dest].R = Out;
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        int64_t B = intOf(Fr, I.Operands[1]);
-        int64_t Out = 0;
-        switch (I.Op) {
-        case Opcode::Add:
-          Out = A + B;
-          break;
-        case Opcode::Sub:
-          Out = A - B;
-          break;
-        case Opcode::Mul:
-          Out = A * B;
-          break;
-        case Opcode::Div:
-          if (B == 0) {
-            fault(ExecResult::Status::HardFault, "integer division by zero");
-            return;
-          }
-          Out = A / B;
-          break;
-        case Opcode::Mod:
-          if (B == 0) {
-            fault(ExecResult::Status::HardFault, "mod by zero");
-            return;
-          }
-          Out = A % B;
-          break;
-        case Opcode::Min:
-          Out = std::min(A, B);
-          break;
-        case Opcode::Max:
-          Out = std::max(A, B);
-          break;
-        default:
-          break;
-        }
-        Fr.Scalars[I.Dest].I = Out;
+    switch (O.Code) {
+    case XOp::AddI:
+      S[O.D].I = S[O.A].I + S[O.B].I;
+      break;
+    case XOp::SubI:
+      S[O.D].I = S[O.A].I - S[O.B].I;
+      break;
+    case XOp::MulI:
+      S[O.D].I = S[O.A].I * S[O.B].I;
+      break;
+    case XOp::DivI:
+      if (S[O.B].I == 0) {
+        fault(ExecResult::Status::HardFault, "integer division by zero");
+        goto Exit;
       }
-      ++Idx;
+      S[O.D].I = S[O.A].I / S[O.B].I;
+      break;
+    case XOp::ModI:
+      if (S[O.B].I == 0) {
+        fault(ExecResult::Status::HardFault, "mod by zero");
+        goto Exit;
+      }
+      S[O.D].I = S[O.A].I % S[O.B].I;
+      break;
+    case XOp::MinI:
+      S[O.D].I = std::min(S[O.A].I, S[O.B].I);
+      break;
+    case XOp::MaxI:
+      S[O.D].I = std::max(S[O.A].I, S[O.B].I);
+      break;
+    case XOp::NegI:
+      S[O.D].I = -S[O.A].I;
+      break;
+    case XOp::AbsI: {
+      int64_t A = S[O.A].I;
+      S[O.D].I = A < 0 ? -A : A;
       break;
     }
-    case Opcode::Neg:
-    case Opcode::Abs: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        Fr.Scalars[I.Dest].R = I.Op == Opcode::Neg ? -A : std::fabs(A);
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        Fr.Scalars[I.Dest].I = I.Op == Opcode::Neg ? -A : (A < 0 ? -A : A);
-      }
-      ++Idx;
+    case XOp::AddR:
+      S[O.D].R = S[O.A].R + S[O.B].R;
+      break;
+    case XOp::SubR:
+      S[O.D].R = S[O.A].R - S[O.B].R;
+      break;
+    case XOp::MulR:
+      S[O.D].R = S[O.A].R * S[O.B].R;
+      break;
+    case XOp::DivR: {
+      double B = S[O.B].R;
+      S[O.D].R = B == 0.0 ? 0.0 : S[O.A].R / B;
       break;
     }
-    case Opcode::CmpEQ:
-    case Opcode::CmpNE:
-    case Opcode::CmpLT:
-    case Opcode::CmpLE:
-    case Opcode::CmpGT:
-    case Opcode::CmpGE: {
-      bool Real = operandIsReal(Fr, I.Operands[0]) ||
-                  operandIsReal(Fr, I.Operands[1]);
-      bool Out = false;
-      if (Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        double B = realOf(Fr, I.Operands[1]);
-        switch (I.Op) {
-        case Opcode::CmpEQ:
-          Out = A == B;
-          break;
-        case Opcode::CmpNE:
-          Out = A != B;
-          break;
-        case Opcode::CmpLT:
-          Out = A < B;
-          break;
-        case Opcode::CmpLE:
-          Out = A <= B;
-          break;
-        case Opcode::CmpGT:
-          Out = A > B;
-          break;
-        case Opcode::CmpGE:
-          Out = A >= B;
-          break;
-        default:
-          break;
-        }
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        int64_t B = intOf(Fr, I.Operands[1]);
-        switch (I.Op) {
-        case Opcode::CmpEQ:
-          Out = A == B;
-          break;
-        case Opcode::CmpNE:
-          Out = A != B;
-          break;
-        case Opcode::CmpLT:
-          Out = A < B;
-          break;
-        case Opcode::CmpLE:
-          Out = A <= B;
-          break;
-        case Opcode::CmpGT:
-          Out = A > B;
-          break;
-        case Opcode::CmpGE:
-          Out = A >= B;
-          break;
-        default:
-          break;
-        }
-      }
-      Fr.Scalars[I.Dest].I = Out ? 1 : 0;
-      ++Idx;
+    case XOp::ModR: // the IR gives real mod no meaning; it yields 0
+      S[O.D].R = 0.0;
       break;
-    }
-    case Opcode::And:
-      Fr.Scalars[I.Dest].I =
-          (intOf(Fr, I.Operands[0]) != 0 && intOf(Fr, I.Operands[1]) != 0)
-              ? 1
-              : 0;
-      ++Idx;
+    case XOp::MinR:
+      S[O.D].R = std::min(S[O.A].R, S[O.B].R);
       break;
-    case Opcode::Or:
-      Fr.Scalars[I.Dest].I =
-          (intOf(Fr, I.Operands[0]) != 0 || intOf(Fr, I.Operands[1]) != 0)
-              ? 1
-              : 0;
-      ++Idx;
+    case XOp::MaxR:
+      S[O.D].R = std::max(S[O.A].R, S[O.B].R);
       break;
-    case Opcode::Not:
-      Fr.Scalars[I.Dest].I = intOf(Fr, I.Operands[0]) == 0 ? 1 : 0;
-      ++Idx;
+    case XOp::NegR:
+      S[O.D].R = -S[O.A].R;
       break;
-    case Opcode::Copy: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real)
-        Fr.Scalars[I.Dest].R = realOf(Fr, I.Operands[0]);
-      else
-        Fr.Scalars[I.Dest].I = intOf(Fr, I.Operands[0]);
-      ++Idx;
+    case XOp::AbsR:
+      S[O.D].R = std::fabs(S[O.A].R);
       break;
-    }
-    case Opcode::IntToReal:
-      Fr.Scalars[I.Dest].R =
-          static_cast<double>(intOf(Fr, I.Operands[0]));
-      ++Idx;
+    case XOp::EqI:
+      S[O.D].I = S[O.A].I == S[O.B].I;
       break;
-    case Opcode::RealToInt:
-      Fr.Scalars[I.Dest].I =
-          static_cast<int64_t>(realOf(Fr, I.Operands[0]));
-      ++Idx;
+    case XOp::NeI:
+      S[O.D].I = S[O.A].I != S[O.B].I;
       break;
-    case Opcode::Load: {
-      ArrayStorage *A = Fr.Arrays[I.Array];
-      if (!A) {
-        fault(ExecResult::Status::HardFault, "unbound array parameter");
-        return;
-      }
+    case XOp::LtI:
+      S[O.D].I = S[O.A].I < S[O.B].I;
+      break;
+    case XOp::LeI:
+      S[O.D].I = S[O.A].I <= S[O.B].I;
+      break;
+    case XOp::GtI:
+      S[O.D].I = S[O.A].I > S[O.B].I;
+      break;
+    case XOp::GeI:
+      S[O.D].I = S[O.A].I >= S[O.B].I;
+      break;
+    case XOp::EqR:
+      S[O.D].I = S[O.A].R == S[O.B].R;
+      break;
+    case XOp::NeR:
+      S[O.D].I = S[O.A].R != S[O.B].R;
+      break;
+    case XOp::LtR:
+      S[O.D].I = S[O.A].R < S[O.B].R;
+      break;
+    case XOp::LeR:
+      S[O.D].I = S[O.A].R <= S[O.B].R;
+      break;
+    case XOp::GtR:
+      S[O.D].I = S[O.A].R > S[O.B].R;
+      break;
+    case XOp::GeR:
+      S[O.D].I = S[O.A].R >= S[O.B].R;
+      break;
+    case XOp::And:
+      S[O.D].I = S[O.A].I != 0 && S[O.B].I != 0;
+      break;
+    case XOp::Or:
+      S[O.D].I = S[O.A].I != 0 || S[O.B].I != 0;
+      break;
+    case XOp::Not:
+      S[O.D].I = S[O.A].I == 0;
+      break;
+    case XOp::CopyI:
+      S[O.D].I = S[O.A].I;
+      break;
+    case XOp::CopyR:
+      S[O.D].R = S[O.A].R;
+      break;
+    case XOp::IntToReal:
+      S[O.D].R = static_cast<double>(S[O.A].I);
+      break;
+    case XOp::RealToInt:
+      S[O.D].I = static_cast<int64_t>(S[O.A].R);
+      break;
+    case XOp::Convert:
+      --C.Ops; // not an operation of the IR (and costs nothing)
+      S[O.D].I = S[O.A].I;
+      S[O.D].R = static_cast<double>(S[O.A].I);
+      break;
+    case XOp::Load: {
+      ArrayStorage *A = Fr.Arrays[O.A];
       size_t Off = 0;
-      if (!flattenIndex(Fr, *A, I.Indices, Off)) {
-        fault(ExecResult::Status::HardFault,
-              "out-of-bounds access on array " +
-                  Syms.get(I.Array).Name +
-                  " (a range check should have fired)");
-        return;
+      if (!A || !offset(DF, S, *A, O, Off)) {
+        faultAccess(DF, O, A != nullptr);
+        goto Exit;
       }
       if (A->Elem == ScalarType::Real)
-        Fr.Scalars[I.Dest].R = A->Reals[Off];
+        S[O.D].R = A->Reals[Off];
       else
-        Fr.Scalars[I.Dest].I = A->Ints[Off];
-      if (P)
-        P->noteAccess(PFn, I.Array, /*IsStore=*/false);
-      ++Idx;
+        S[O.D].I = A->Ints[Off];
+      if constexpr (Observed)
+        if (P)
+          P->noteAccess(PFn, O.A, /*IsStore=*/false);
       break;
     }
-    case Opcode::Store: {
-      ArrayStorage *A = Fr.Arrays[I.Array];
-      if (!A) {
-        fault(ExecResult::Status::HardFault, "unbound array parameter");
-        return;
-      }
+    case XOp::Store: {
+      ArrayStorage *A = Fr.Arrays[O.A];
       size_t Off = 0;
-      if (!flattenIndex(Fr, *A, I.Indices, Off)) {
-        fault(ExecResult::Status::HardFault,
-              "out-of-bounds store on array " + Syms.get(I.Array).Name +
-                  " (a range check should have fired)");
-        return;
+      if (!A || !offset(DF, S, *A, O, Off)) {
+        faultAccess(DF, O, A != nullptr);
+        goto Exit;
       }
-      if (A->Elem == ScalarType::Real)
-        A->Reals[Off] = realOf(Fr, I.Operands[0]);
+      if (A->Elem != ScalarType::Real)
+        A->Ints[Off] = S[O.D].I;
       else
-        A->Ints[Off] = intOf(Fr, I.Operands[0]);
-      if (P)
-        P->noteAccess(PFn, I.Array, /*IsStore=*/true);
-      ++Idx;
+        A->Reals[Off] = S[O.D].R;
+      if constexpr (Observed)
+        if (P)
+          P->noteAccess(PFn, O.A, /*IsStore=*/true);
       break;
     }
-    case Opcode::Check: {
-      bool Holds = checkHolds(Fr, I.Check);
-      if (P)
-        P->noteCheck(PFn, Cur, static_cast<uint32_t>(Idx), !Holds);
-      if (!Holds) {
-        fault(ExecResult::Status::Trapped, checkFailureMessage(Fr, I));
-        return;
+    case XOp::Check: {
+      ++C.Checks;
+      if constexpr (Observed)
+        if (Opts.CountCheckSites)
+          obs::saturatingInc(DF.SiteHits[Pc]);
+      bool Traps = !holds(DF, S, Checks[O.X]);
+      if constexpr (Observed)
+        if (P)
+          P->noteCheck(PFn, O.Block, O.Index, Traps);
+      if (Traps) {
+        faultCheck(DF, O);
+        goto Exit;
       }
-      ++Idx;
       break;
     }
-    case Opcode::CondCheck: {
+    case XOp::CondCheck: {
+      ++C.Checks;
+      ++C.CondChecks;
+      if constexpr (Observed)
+        if (Opts.CountCheckSites)
+          obs::saturatingInc(DF.SiteHits[Pc]);
       bool GuardsHold = true;
-      for (const CheckExpr &G : I.Guards)
-        if (!checkHolds(Fr, G)) {
+      for (uint32_t G = 1; G <= O.B; ++G)
+        if (!holds(DF, S, Checks[O.X + G])) {
           GuardsHold = false;
           break;
         }
-      bool Traps = GuardsHold && !checkHolds(Fr, I.Check);
-      if (P)
-        P->noteCheck(PFn, Cur, static_cast<uint32_t>(Idx), Traps);
+      bool Traps = GuardsHold && !holds(DF, S, Checks[O.X]);
+      if constexpr (Observed)
+        if (P)
+          P->noteCheck(PFn, O.Block, O.Index, Traps);
       if (Traps) {
-        fault(ExecResult::Status::Trapped, checkFailureMessage(Fr, I));
-        return;
+        faultCheck(DF, O);
+        goto Exit;
       }
-      ++Idx;
       break;
     }
-    case Opcode::Trap:
+    case XOp::Trap:
       fault(ExecResult::Status::Trapped,
             "trap instruction reached (compile-time range violation)");
-      return;
-    case Opcode::Br:
-      Cur = intOf(Fr, I.Operands[0]) != 0 ? I.TrueTarget : I.FalseTarget;
-      Idx = 0;
-      if (P)
-        P->enterBlock(PFn, Cur, PFS);
-      break;
-    case Opcode::Jump:
-      Cur = I.TrueTarget;
-      Idx = 0;
-      if (P)
-        P->enterBlock(PFn, Cur, PFS);
-      break;
-    case Opcode::Ret:
-      if (!I.Operands.empty()) {
-        if (F.resultType() == ScalarType::Real)
-          ResultOut.R = realOf(Fr, I.Operands[0]);
-        else
-          ResultOut.I = intOf(Fr, I.Operands[0]);
-      }
-      return;
-    case Opcode::Call: {
-      const Function *Callee = M.function(I.Callee);
-      if (!Callee) {
-        fault(ExecResult::Status::HardFault,
-              "call to unknown function " + I.Callee);
-        return;
-      }
-      Frame Sub = makeFrame(*Callee);
+      goto Exit;
+    case XOp::Br:
+      Pc = S[O.A].I != 0 ? O.D : O.B;
+      if constexpr (Observed)
+        if (P)
+          P->enterBlock(PFn, Code[Pc].Block, PFS);
+      continue;
+    case XOp::Jump:
+      Pc = O.D;
+      if constexpr (Observed)
+        if (P)
+          P->enterBlock(PFn, Code[Pc].Block, PFS);
+      continue;
+    case XOp::Ret:
+      goto Exit;
+    case XOp::RetI:
+      ResultOut.I = S[O.A].I;
+      goto Exit;
+    case XOp::RetR:
+      ResultOut.R = S[O.A].R;
+      goto Exit;
+    case XOp::Call: {
+      CallSite &CS = DF.Calls[O.X];
+      if (!CS.Decoded)
+        CS.Decoded = &decoded(CS.Callee);
+      DecodedFunction &Callee = *CS.Decoded;
+      Frame Sub;
+      makeFrame(Callee, Sub);
       // Marshal arguments: scalars by value (with conversion), arrays by
       // reference.
-      for (size_t K = 0; K != I.Operands.size(); ++K) {
-        SymbolID P = Callee->params()[K];
-        const Symbol &PS = Callee->symbols().get(P);
-        if (PS.isArray()) {
-          Sub.Arrays[P] = Fr.Arrays[I.Operands[K].symbol()];
-        } else if (PS.Type == ScalarType::Real) {
-          Sub.Scalars[P].R = realOf(Fr, I.Operands[K]);
-        } else {
-          Sub.Scalars[P].I = intOf(Fr, I.Operands[K]);
+      for (uint32_t K = CS.ArgBegin; K != CS.ArgEnd; ++K) {
+        const ArgMove &A = DF.Args[K];
+        switch (A.K) {
+        case ArgMove::Array:
+          Sub.Arrays[A.To] = Fr.Arrays[A.From];
+          break;
+        case ArgMove::Int:
+          Sub.Slots[A.To].I = S[A.From].I;
+          break;
+        case ArgMove::Real:
+          Sub.Slots[A.To].R = S[A.From].R;
+          break;
         }
       }
       Cell Result;
-      execute(Sub, Result, Depth + 1);
+      Cnt = C;
+      run<Observed>(Callee, Sub, Result, Depth + 1);
+      C = Cnt;
       if (halted())
-        return;
-      if (I.Dest != InvalidSymbol) {
-        if (Syms.get(I.Dest).Type == ScalarType::Real)
-          Fr.Scalars[I.Dest].R = Result.R;
+        goto Exit;
+      if (CS.Dest != InvalidSymbol) {
+        if (CS.DestReal)
+          S[CS.Dest].R = Result.R;
         else
-          Fr.Scalars[I.Dest].I = Result.I;
+          S[CS.Dest].I = Result.I;
       }
-      ++Idx;
       break;
     }
-    case Opcode::Print: {
-      const Value &V = I.Operands[0];
-      std::string S;
-      if (operandIsReal(Fr, V))
-        S = formatString("%.6g", realOf(Fr, V));
-      else if (V.isSym() &&
-               Syms.get(V.symbol()).Type == ScalarType::Bool)
-        S = intOf(Fr, V) ? "T" : "F";
-      else
-        S = std::to_string(intOf(Fr, V));
-      R.Output.push_back(std::move(S));
-      ++Idx;
+    case XOp::CallUnknown:
+      fault(ExecResult::Status::HardFault,
+            "call to unknown function " + instruction(DF, O).Callee);
+      goto Exit;
+    case XOp::PrintI:
+      R.Output.push_back(std::to_string(S[O.A].I));
       break;
+    case XOp::PrintR:
+      R.Output.push_back(formatString("%.6g", S[O.A].R));
+      break;
+    case XOp::PrintB:
+      R.Output.push_back(S[O.A].I ? "T" : "F");
+      break;
+    case XOp::FellOff:
+      --C.Ops; // the sentinel is not an operation (and costs nothing)
+      fault(ExecResult::Status::HardFault,
+            "fell off the end of block bb" + std::to_string(O.Block));
+      goto Exit;
     }
-    }
+    ++Pc;
   }
+Exit:
+  Cnt = C;
 }
 
 } // namespace
@@ -599,15 +939,12 @@ ExecResult nascent::interpret(const Module &M, const InterpOptions &Opts) {
   }
   Executor E(M, Opts, R);
   E.runEntry(*Entry);
-  for (const auto &[Site, Count] : E.SiteCounts) {
-    const auto &[F, Block, Idx] = Site;
-    R.CheckSites.push_back({F->name(), Block, static_cast<uint32_t>(Idx),
-                            Count, F->block(Block)->instructions()[Idx].Tag});
-  }
+  R.CheckSites = E.checkSites();
   if (Opts.Profile && Opts.Profile->attached())
     Opts.Profile->noteRun(R.St == ExecResult::Status::Trapped);
   ++NumRuns;
   NumDynChecks += R.DynChecks;
+  NumOps += E.opsExecuted();
   return R;
 }
 

@@ -1,11 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A direct interpreter for the Nascent IR with dynamic instruction and
+/// An interpreter for the Nascent IR with dynamic instruction and
 /// range-check counters. This is the measurement substrate replacing the
 /// paper's instrumented-C back end: the optimizer rewrites the IR and the
 /// interpreter counts exactly what executes, so "percentage of dynamic
 /// checks eliminated" is measured, not modelled.
+///
+/// Each interpret() call decodes every function it reaches, on first
+/// reach, into a private flat form: one op array per function whose
+/// operands are frame-slot indices (constants preloaded after the
+/// symbols) and whose opcodes are specialised by the types the IR
+/// resolves statically. A single switch loop runs it. Every op keeps its
+/// instruction's cost (instructionCost) and site (block, index, check
+/// tag), so the counters, fault messages, profile and check-site counts
+/// are those of the IR. Nothing is cached across calls.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +42,7 @@ struct InterpOptions {
   unsigned MaxCallDepth = 256;
   /// Record per-site execution counts of range checks into
   /// ExecResult::CheckSites (for joining into the remark stream); off by
-  /// default because it adds a map update per executed check.
+  /// default because it adds a counter update per executed check.
   bool CountCheckSites = false;
   /// When non-null and attached to the module being run, the interpreter
   /// streams block frequencies, loop trip counts, array accesses, and

@@ -18,6 +18,7 @@
 #include "ir/LinearExpr.h"
 #include "support/SourceLocation.h"
 
+#include <functional>
 #include <string>
 
 namespace nascent {

@@ -3,6 +3,7 @@
 #include "ir/Symbol.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace nascent;
 
@@ -76,14 +77,6 @@ void LinearExpr::substitute(SymbolID Sym, const LinearExpr &Replacement) {
   int64_t C = removeTerm(Sym);
   if (C != 0)
     *this += Replacement.scaled(C);
-}
-
-int64_t
-LinearExpr::evaluate(const std::function<int64_t(SymbolID)> &ValueOf) const {
-  int64_t V = Const;
-  for (const auto &[Sym, Coeff] : Terms)
-    V += Coeff * ValueOf(Sym);
-  return V;
 }
 
 std::string LinearExpr::str(const SymbolTable &Syms) const {

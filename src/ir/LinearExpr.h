@@ -15,7 +15,6 @@
 #include "ir/Symbol.h"
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -100,9 +99,6 @@ public:
   const std::vector<std::pair<SymbolID, int64_t>> &terms() const {
     return Terms;
   }
-
-  /// Evaluates with symbol values supplied by \p ValueOf.
-  int64_t evaluate(const std::function<int64_t(SymbolID)> &ValueOf) const;
 
   /// Renders e.g. "2*n - i + 3" using names from \p Syms; "0" when empty.
   std::string str(const SymbolTable &Syms) const;

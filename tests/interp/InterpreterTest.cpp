@@ -3,11 +3,15 @@
 /// \file
 /// Interpreter tests: arithmetic, control flow, arrays (including
 /// by-reference array parameters), traps, the instruction/check counters,
-/// and the execution limits.
+/// and the execution limits -- including the edge cases that hand-built
+/// IR can reach but the front end never emits (a block without a
+/// terminator, an integer constant compared against a real symbol).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+
+#include "ir/IRBuilder.h"
 
 #include <gtest/gtest.h>
 
@@ -335,6 +339,163 @@ end program
   ExecResult E = interpret(*R.M);
   EXPECT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
   EXPECT_EQ(E.Output, (std::vector<std::string>{"0"}));
+}
+
+TEST(Interpreter, StepLimitInsideCalleeCountsEveryStep) {
+  // The limit fires deep in a callee; the counters the run reports are
+  // the callee's as well as the caller's, and they add up to exactly the
+  // limit (the spinning loop is all unit-cost instructions).
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CompileResult R = compileOrDie(R"(
+program p
+  real a(10)
+  a(3) = 1.0
+  call spin(a)
+  print a(3)
+end program
+subroutine spin(a)
+  real a(10)
+  integer i
+  i = 0
+  while (i >= 0) do
+    i = i + 1
+  end while
+end subroutine
+)",
+                                 PO);
+  InterpOptions IO;
+  IO.MaxSteps = 10'000;
+  ExecResult E = interpret(*R.M, IO);
+  EXPECT_EQ(E.St, ExecResult::Status::StepLimit);
+  EXPECT_EQ(E.FaultMessage, "step limit exceeded");
+  EXPECT_EQ(E.DynInstrs + E.DynChecks, IO.MaxSteps);
+  EXPECT_EQ(E.DynChecks, 2u); // a(3)'s lower and upper bound checks
+  EXPECT_TRUE(E.Output.empty());
+}
+
+TEST(Interpreter, FallingOffABlockIsAHardFault) {
+  // A block without a terminator: the instructions before the end run
+  // and count, then the run faults naming the block.
+  {
+    Module M;
+    Function *F = M.createFunction("main");
+    M.setEntry("main");
+    SymbolID X = F->symbols().createScalar("x", ScalarType::Int);
+    IRBuilder B(*F);
+    B.setInsertBlock(B.createBlock("entry"));
+    B.emitCopy(X, Value::intConst(1));
+    B.emitPrint(Value::sym(X));
+    ExecResult E = interpret(M);
+    EXPECT_EQ(E.St, ExecResult::Status::HardFault);
+    EXPECT_EQ(E.FaultMessage, "fell off the end of block bb0");
+    EXPECT_EQ(E.DynInstrs, 2u);
+    EXPECT_EQ(E.Output, (std::vector<std::string>{"1"}));
+  }
+  // An empty block reached by a jump.
+  {
+    Module M;
+    Function *F = M.createFunction("main");
+    M.setEntry("main");
+    IRBuilder B(*F);
+    BasicBlock *Entry = B.createBlock("entry");
+    BasicBlock *Empty = B.createBlock("empty");
+    B.setInsertBlock(Entry);
+    B.emitJump(Empty->id());
+    ExecResult E = interpret(M);
+    EXPECT_EQ(E.St, ExecResult::Status::HardFault);
+    EXPECT_EQ(E.FaultMessage, "fell off the end of block bb1");
+    EXPECT_EQ(E.DynInstrs, 1u);
+  }
+}
+
+TEST(Interpreter, PrintLogicalSymbolVersusLogicalConstant) {
+  // A logical symbol prints as T/F; a logical constant prints as the
+  // integer it holds.
+  Module M;
+  Function *F = M.createFunction("main");
+  M.setEntry("main");
+  SymbolID Yes = F->symbols().createScalar("yes", ScalarType::Bool);
+  SymbolID No = F->symbols().createScalar("no", ScalarType::Bool);
+  IRBuilder B(*F);
+  B.setInsertBlock(B.createBlock("entry"));
+  B.emitCopy(Yes, Value::boolConst(true));
+  B.emitCopy(No, Value::boolConst(false));
+  B.emitPrint(Value::sym(Yes));
+  B.emitPrint(Value::sym(No));
+  B.emitPrint(Value::boolConst(true));
+  B.emitPrint(Value::boolConst(false));
+  B.emitRet();
+  ExecResult E = interpret(M);
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  EXPECT_EQ(E.Output, (std::vector<std::string>{"T", "F", "1", "0"}));
+}
+
+TEST(Interpreter, CompareMixesIntegerConstantWithRealSymbol) {
+  // One real operand makes the whole compare real: the integer constant
+  // is converted, not the real truncated (2 < 2.5 holds; 2 < int(2.5)
+  // would not).
+  Module M;
+  Function *F = M.createFunction("main");
+  M.setEntry("main");
+  SymbolID R = F->symbols().createScalar("r", ScalarType::Real);
+  IRBuilder B(*F);
+  B.setInsertBlock(B.createBlock("entry"));
+  B.emitCopy(R, Value::realConst(2.5));
+  B.emitPrint(B.emitBinary(Opcode::CmpLT, Value::intConst(2), Value::sym(R),
+                           ScalarType::Bool));
+  B.emitPrint(B.emitBinary(Opcode::CmpGE, Value::sym(R), Value::intConst(3),
+                           ScalarType::Bool));
+  B.emitPrint(B.emitBinary(Opcode::CmpNE, Value::intConst(2), Value::sym(R),
+                           ScalarType::Bool));
+  B.emitRet();
+  ExecResult E = interpret(M);
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  EXPECT_EQ(E.Output, (std::vector<std::string>{"T", "F", "T"}));
+}
+
+TEST(Interpreter, CountCheckSitesRecordsCondCheckWhoseGuardsFail) {
+  // A conditional check whose guard never holds still executes (and is
+  // counted at its site) on every visit; it never traps even though its
+  // check would fail.
+  Module M;
+  Function *F = M.createFunction("main");
+  M.setEntry("main");
+  SymbolID N = F->symbols().createScalar("n", ScalarType::Int);
+  SymbolID I = F->symbols().createScalar("i", ScalarType::Int);
+  IRBuilder B(*F);
+  BasicBlock *Entry = B.createBlock("entry");
+  BasicBlock *Loop = B.createBlock("loop");
+  BasicBlock *Exit = B.createBlock("exit");
+  B.setInsertBlock(Entry);
+  B.emitCopy(N, Value::intConst(5));
+  B.emitCopy(I, Value::intConst(0));
+  B.emitJump(Loop->id());
+  B.setInsertBlock(Loop);
+  B.emitBinaryTo(I, Opcode::Add, Value::sym(I), Value::intConst(1));
+  B.emitCondCheck({CheckExpr(LinearExpr::term(N), 0)},
+                  CheckExpr(LinearExpr::term(N), 1));
+  Value More = B.emitBinary(Opcode::CmpLT, Value::sym(I), Value::intConst(3),
+                            ScalarType::Bool);
+  B.emitBr(More, Loop->id(), Exit->id());
+  B.setInsertBlock(Exit);
+  B.emitRet();
+
+  InterpOptions IO;
+  IO.CountCheckSites = true;
+  ExecResult E = interpret(M, IO);
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  EXPECT_EQ(E.DynChecks, 3u);
+  EXPECT_EQ(E.DynCondChecks, 3u);
+  ASSERT_EQ(E.CheckSites.size(), 1u);
+  const obs::CheckSiteCount &S = E.CheckSites[0];
+  CheckTag Tag = Loop->instructions()[1].Tag;
+  EXPECT_EQ(S.Func, "main");
+  EXPECT_EQ(S.Block, Loop->id());
+  EXPECT_EQ(S.Index, 1u);
+  EXPECT_EQ(S.Count, 3u);
+  EXPECT_NE(Tag, NoCheckTag);
+  EXPECT_EQ(S.Tag, Tag);
 }
 
 } // namespace

@@ -91,13 +91,6 @@ TEST_F(LinearExprTest, RemoveTerm) {
   EXPECT_EQ(E.removeTerm(I), 0);
 }
 
-TEST_F(LinearExprTest, Evaluate) {
-  LinearExpr E = LinearExpr::term(I, 2) + LinearExpr::term(N, -1) +
-                 LinearExpr::constant(10);
-  auto ValueOf = [&](SymbolID S) -> int64_t { return S == I ? 4 : 3; };
-  EXPECT_EQ(E.evaluate(ValueOf), 2 * 4 - 3 + 10);
-}
-
 TEST_F(LinearExprTest, Printing) {
   LinearExpr E = LinearExpr::term(I, 2) + LinearExpr::term(J, -1) +
                  LinearExpr::constant(3);
