@@ -30,17 +30,30 @@ namespace {
 
 /// Runtime storage of one array.
 struct ArrayStorage {
+  /// One dimension's bounds and the distance, in elements, between
+  /// consecutive subscripts in it (Fortran order), fixed at allocation so
+  /// an access does no extent arithmetic.
+  struct Dim {
+    int64_t Lower = 1, Upper = 1;
+    size_t Stride = 1;
+  };
+
   ScalarType Elem = ScalarType::Real;
-  ArrayShape Shape;
+  std::vector<Dim> Dims;
   std::vector<int64_t> Ints;
   std::vector<double> Reals;
 
-  explicit ArrayStorage(const ArrayShape &S) : Elem(S.Element), Shape(S) {
+  explicit ArrayStorage(const ArrayShape &S) : Elem(S.Element) {
     size_t N = static_cast<size_t>(S.elementCount());
     if (Elem == ScalarType::Real)
       Reals.assign(N, 0.0);
     else
       Ints.assign(N, 0);
+    size_t Stride = 1;
+    for (const ArrayDim &D : S.Dims) {
+      Dims.push_back({D.Lower, D.Upper, Stride});
+      Stride *= static_cast<size_t>(D.extent());
+    }
   }
 };
 
@@ -59,26 +72,48 @@ struct Cell {
 /// read as a real (the front end converts explicitly, so only hand-built
 /// IR needs one). Load and Store follow the element type of the storage
 /// they reach, which for an array parameter is the caller's.
+///
+/// The decoder's last step adds the specialised and fused forms after
+/// FellOff: Check1 is a Check of one term; the fused forms run two
+/// adjacent ops of one block (an integer compare and the Br reading it,
+/// two Check1s, an AddI and a Jump) in one dispatch.
+#define NASCENT_XOPS(X)                                                        \
+  X(AddI) X(SubI) X(MulI) X(DivI) X(ModI) X(NegI) X(MinI) X(MaxI) X(AbsI)      \
+  X(AddR) X(SubR) X(MulR) X(DivR) X(ModR) X(NegR) X(MinR) X(MaxR) X(AbsR)      \
+  X(EqI) X(NeI) X(LtI) X(LeI) X(GtI) X(GeI)                                    \
+  X(EqR) X(NeR) X(LtR) X(LeR) X(GtR) X(GeR)                                    \
+  X(And) X(Or) X(Not)                                                          \
+  X(CopyI) X(CopyR) X(IntToReal) X(RealToInt)                                  \
+  X(Convert) /* D = A read both ways; inserted by the decoder, uncounted */    \
+  X(Load) X(Store)                                                             \
+  X(Check) X(CondCheck) X(Trap)                                                \
+  X(Br) X(Jump) X(Ret) X(RetI) X(RetR)                                         \
+  X(Call) X(CallUnknown)                                                       \
+  X(PrintI) X(PrintR) X(PrintB)                                                \
+  X(FellOff) /* the sentinel ending every block */                            \
+  X(Check1)                                                                    \
+  X(EqIBr) X(NeIBr) X(LtIBr) X(LeIBr) X(GtIBr) X(GeIBr)                        \
+  X(Check1Pair) X(AddIJump)
+
 enum class XOp : uint8_t {
-  AddI, SubI, MulI, DivI, ModI, NegI, MinI, MaxI, AbsI,
-  AddR, SubR, MulR, DivR, ModR, NegR, MinR, MaxR, AbsR,
-  EqI, NeI, LtI, LeI, GtI, GeI,
-  EqR, NeR, LtR, LeR, GtR, GeR,
-  And, Or, Not,
-  CopyI, CopyR, IntToReal, RealToInt,
-  Convert, ///< D = A read both ways; inserted by the decoder, uncounted
-  Load, Store,
-  Check, CondCheck, Trap,
-  Br, Jump, Ret, RetI, RetR,
-  Call, CallUnknown,
-  PrintI, PrintR, PrintB,
-  FellOff, ///< the sentinel ending every block
+#define NASCENT_XOP_ENUM(Name) Name,
+  NASCENT_XOPS(NASCENT_XOP_ENUM)
+#undef NASCENT_XOP_ENUM
 };
+static_assert(static_cast<unsigned>(XOp::GeIBr) -
+                      static_cast<unsigned>(XOp::EqIBr) ==
+                  static_cast<unsigned>(XOp::GeI) -
+                      static_cast<unsigned>(XOp::EqI),
+              "the compare-branch forms follow the compare order");
 
 /// One decoded operation. Operands are frame-slot indices: symbols keep
 /// their SymbolID, constants live in the slots after them. The site
 /// coordinates (Block, Index, Tag) name the IR instruction the op came
 /// from, for fault messages, the profiler, and check-site counts.
+///
+/// A fused op stands in place of the first op of its pair and carries
+/// that op's operands, cost and site; the second op stays unchanged right
+/// after it, and the fused handler reads the second half from there.
 struct Op {
   XOp Code = XOp::FellOff;
   /// instructionCost; 1 for checks, 0 for Convert and FellOff.
@@ -86,9 +121,10 @@ struct Op {
   /// Arithmetic and compares: D = A op B. Load: D = array A, rank B,
   /// subscripts at X. Store: value D into array A, rank B, subscripts at
   /// X. Check: check record X. CondCheck: check record X, B guard records
-  /// after it. Br: on A to op D, else op B. Jump: to op D. RetI/RetR,
-  /// Print: A. Call: call site X.
+  /// after it. Check1: Coeff * A <= Bound. Br: on A to op D, else op B.
+  /// Jump: to op D. RetI/RetR, Print: A. Call: call site X.
   uint32_t D = 0, A = 0, B = 0, X = 0;
+  int64_t Coeff = 0, Bound = 0;
   BlockID Block = 0;
   uint32_t Index = 0;
   CheckTag Tag = NoCheckTag;
@@ -147,13 +183,22 @@ struct Frame {
   std::vector<std::unique_ptr<ArrayStorage>> Owned;
 };
 
-/// The dynamic counters, kept in locals by the dispatch loop and written
-/// back at every exit and around calls. Steps is DynInstrs + DynChecks.
+/// The dynamic counters. Steps is DynInstrs + DynChecks; the threaded loop
+/// keeps it in a local, written back whenever the loop returns, and
+/// updates the others in place.
+///
+/// The operations executed (interp.ops) are not counted one by one: every
+/// op costs 1 except Load and Store, which cost 1 + 2 x rank, and the
+/// uncounted Convert and FellOff, which cost 0 (the decoder asserts it).
+/// So the ops are the steps less the address arithmetic Load and Store
+/// charge, which they add to Address; a dispatch does one add, not two.
 struct Counters {
   uint64_t Steps = 0;
   uint64_t Checks = 0;
   uint64_t CondChecks = 0;
-  uint64_t Ops = 0;
+  uint64_t Address = 0;
+
+  uint64_t ops() const { return Steps - Address; }
 };
 
 /// Translates one function's IR into its DecodedFunction.
@@ -176,6 +221,8 @@ public:
         size_t First = DF.Ops.size();
         Op O = decode(Instrs[Idx]); // may emit Convert ops first
         O.Cost = static_cast<uint32_t>(instructionCost(Instrs[Idx]));
+        assert((O.Cost == 1 || O.Code == XOp::Load || O.Code == XOp::Store) &&
+               "Counters::ops() assumes unit cost");
         O.Tag = Instrs[Idx].Tag;
         DF.Ops.push_back(O);
         for (size_t K = First; K != DF.Ops.size(); ++K) {
@@ -198,9 +245,70 @@ public:
         O.B = BlockStart[O.B];
     }
     DF.EntryPc = BlockStart.empty() ? 0 : BlockStart[F.entryBlock()];
+    fuse();
   }
 
 private:
+  /// The last decode step, a peephole over each block: a Check of one
+  /// term becomes a Check1, which holds its term and bound itself, and
+  /// each fusable pair of adjacent ops (see fused()) becomes one op. The
+  /// fused op replaces the first of the pair; the second stays in place,
+  /// unfused, so the step limit can stop between the halves and leave the
+  /// second to run as its own op.
+  void fuse() {
+    for (Op &O : DF.Ops) {
+      if (O.Code != XOp::Check)
+        continue;
+      const CheckRecord &Rec = DF.Checks[O.X];
+      if (Rec.TermEnd - Rec.TermBegin != 1)
+        continue;
+      O.Code = XOp::Check1;
+      O.A = DF.Terms[Rec.TermBegin].first;
+      O.Coeff = DF.Terms[Rec.TermBegin].second;
+      O.Bound = Rec.Bound;
+    }
+    for (size_t K = 0; K + 1 < DF.Ops.size(); ++K) {
+      Op &First = DF.Ops[K];
+      const Op &Second = DF.Ops[K + 1];
+      if (First.Block != Second.Block)
+        continue;
+      XOp Fused = fused(First, Second);
+      if (Fused != First.Code) {
+        First.Code = Fused;
+        ++K; // a second half is never the first half of another pair
+      }
+    }
+  }
+
+  /// The fused form of \p First followed by \p Second, or First's own
+  /// code when the pair does not fuse.
+  static XOp fused(const Op &First, const Op &Second) {
+    switch (First.Code) {
+    case XOp::EqI:
+    case XOp::NeI:
+    case XOp::LtI:
+    case XOp::LeI:
+    case XOp::GtI:
+    case XOp::GeI:
+      if (Second.Code == XOp::Br && Second.A == First.D)
+        return static_cast<XOp>(static_cast<unsigned>(XOp::EqIBr) +
+                                (static_cast<unsigned>(First.Code) -
+                                 static_cast<unsigned>(XOp::EqI)));
+      break;
+    case XOp::Check1:
+      if (Second.Code == XOp::Check1)
+        return XOp::Check1Pair;
+      break;
+    case XOp::AddI:
+      if (Second.Code == XOp::Jump)
+        return XOp::AddIJump;
+      break;
+    default:
+      break;
+    }
+    return First.Code;
+  }
+
   /// The slot holding \p V; constants get one slot per distinct value.
   uint32_t slot(const Value &V) {
     if (V.isSym())
@@ -453,7 +561,7 @@ public:
     R.DynCondChecks = Cnt.CondChecks;
   }
 
-  uint64_t opsExecuted() const { return Cnt.Ops; }
+  uint64_t opsExecuted() const { return Cnt.ops(); }
 
   /// Per-site check execution tallies (CountCheckSites only), ordered by
   /// (function in module order, block, instruction index).
@@ -530,6 +638,55 @@ private:
     return DF.F->block(O.Block)->instructions()[O.Index];
   }
 
+  /// Ends the run with the fault the op \p O of \p DF raised in frame
+  /// \p Fr: a failed check, a trap, a bad access, a division by zero, a
+  /// call to an unknown function, or falling off the end of its block.
+  void faultAt(const DecodedFunction &DF, const Frame &Fr, const Op &O) {
+    switch (O.Code) {
+    case XOp::DivI:
+      fault(ExecResult::Status::HardFault, "integer division by zero");
+      return;
+    case XOp::ModI:
+      fault(ExecResult::Status::HardFault, "mod by zero");
+      return;
+    case XOp::Load:
+    case XOp::Store:
+      faultAccess(DF, O, Fr.Arrays[O.A] != nullptr);
+      return;
+    case XOp::Check:
+    case XOp::CondCheck:
+    case XOp::Check1:
+    case XOp::Check1Pair:
+      faultCheck(DF, O);
+      return;
+    case XOp::Trap:
+      fault(ExecResult::Status::Trapped,
+            "trap instruction reached (compile-time range violation)");
+      return;
+    case XOp::CallUnknown:
+      fault(ExecResult::Status::HardFault,
+            "call to unknown function " + instruction(DF, O).Callee);
+      return;
+    case XOp::FellOff:
+      fault(ExecResult::Status::HardFault,
+            "fell off the end of block bb" + std::to_string(O.Block));
+      return;
+    default:
+      assert(false && "op cannot fault");
+      return;
+    }
+  }
+
+  /// Appends the value the Print op \p O reads to the output.
+  void print(const Op &O, const Cell *S) {
+    if (O.Code == XOp::PrintI)
+      R.Output.push_back(std::to_string(S[O.A].I));
+    else if (O.Code == XOp::PrintR)
+      R.Output.push_back(formatString("%.6g", S[O.A].R));
+    else
+      R.Output.push_back(S[O.A].I ? "T" : "F");
+  }
+
   void faultCheck(const DecodedFunction &DF, const Op &O) {
     const Instruction &I = instruction(DF, O);
     std::string Msg =
@@ -567,22 +724,36 @@ private:
   static bool offset(const DecodedFunction &DF, const Cell *S,
                      const ArrayStorage &A, const Op &O, size_t &Out) {
     const uint32_t *Sub = DF.Subscripts.data() + O.X;
+    const ArrayStorage::Dim *Dims = A.Dims.data();
     size_t Offset = 0;
-    size_t Stride = 1;
     for (uint32_t D = 0; D != O.B; ++D) {
       int64_t Idx = S[Sub[D]].I;
-      const ArrayDim &Dim = A.Shape.Dims[D];
-      if (Idx < Dim.Lower || Idx > Dim.Upper)
+      if (Idx < Dims[D].Lower || Idx > Dims[D].Upper)
         return false;
-      Offset += static_cast<size_t>(Idx - Dim.Lower) * Stride;
-      Stride *= static_cast<size_t>(Dim.extent());
+      Offset += static_cast<size_t>(Idx - Dims[D].Lower) * Dims[D].Stride;
     }
     Out = Offset;
     return true;
   }
 
+  /// Why the threaded loop, exec(), handed control back to run().
+  enum class Stop : uint8_t {
+    Return,    ///< a Ret op ran
+    Call,      ///< at a Call op, charged
+    Print,     ///< at a Print op, charged
+    Fault,     ///< the op it stopped at faults or falls off its block
+    StepLimit, ///< the step limit was reached before the op it stopped at
+  };
+
   template <bool Observed>
   void run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut, unsigned Depth);
+
+  template <bool Observed>
+  Stop exec(DecodedFunction &DF, Frame &Fr, const Op *&At, Cell &ResultOut,
+            obs::ExecutionProfile *P, obs::ProfileFrameState &PFS);
+
+  template <bool Observed>
+  void call(DecodedFunction &DF, Frame &Fr, const Op &O, unsigned Depth);
 
   const Module &M;
   const InterpOptions &Opts;
@@ -593,6 +764,50 @@ private:
   Counters Cnt;
 };
 
+/// Runs the call op \p O of \p DF from frame \p Fr: a fresh frame for the
+/// callee, the arguments marshalled into it, the result stored back.
+template <bool Observed>
+void Executor::call(DecodedFunction &DF, Frame &Fr, const Op &O,
+                    unsigned Depth) {
+  CallSite &CS = DF.Calls[O.X];
+  if (!CS.Decoded)
+    CS.Decoded = &decoded(CS.Callee);
+  DecodedFunction &Callee = *CS.Decoded;
+  Frame Sub;
+  makeFrame(Callee, Sub);
+  // Marshal arguments: scalars by value (with conversion), arrays by
+  // reference.
+  Cell *S = Fr.Slots.data();
+  for (uint32_t K = CS.ArgBegin; K != CS.ArgEnd; ++K) {
+    const ArgMove &A = DF.Args[K];
+    switch (A.K) {
+    case ArgMove::Array:
+      Sub.Arrays[A.To] = Fr.Arrays[A.From];
+      break;
+    case ArgMove::Int:
+      Sub.Slots[A.To].I = S[A.From].I;
+      break;
+    case ArgMove::Real:
+      Sub.Slots[A.To].R = S[A.From].R;
+      break;
+    }
+  }
+  Cell Result;
+  run<Observed>(Callee, Sub, Result, Depth + 1);
+  if (halted() || CS.Dest == InvalidSymbol)
+    return;
+  if (CS.DestReal)
+    S[CS.Dest].R = Result.R;
+  else
+    S[CS.Dest].I = Result.I;
+}
+
+/// Runs \p DF in frame \p Fr. The threaded loop, exec(), runs the ops and
+/// hands back to this loop what needs ordinary code: calls, printing and
+/// faults. So exec() holds no object with a destructor, which a computed
+/// goto would skip (a call's frame lives in call()), and calls nothing but
+/// the observed copy's hooks; with few values live across its handlers,
+/// the compiler keeps the op pointer, slots and step count in registers.
 template <bool Observed>
 void Executor::run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
                    unsigned Depth) {
@@ -626,305 +841,301 @@ void Executor::run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
   if (halted())
     return;
 
-  const Op *Code = DF.Ops.data();
-  const CheckRecord *Checks = DF.Checks.data();
+  // Each stop but the last leaves O at the op it stopped at, charged; the
+  // loop resumes after it.
+  const Op *O = DF.Ops.data() + DF.EntryPc;
+  for (;; ++O) {
+    switch (exec<Observed>(DF, Fr, O, ResultOut, P, PFS)) {
+    case Stop::Return:
+      return;
+    case Stop::Call:
+      call<Observed>(DF, Fr, *O, Depth);
+      if (halted())
+        return;
+      break;
+    case Stop::Print:
+      print(*O, Fr.Slots.data());
+      break;
+    case Stop::Fault:
+      faultAt(DF, Fr, *O);
+      return;
+    case Stop::StepLimit:
+      fault(ExecResult::Status::StepLimit, "step limit exceeded");
+      return;
+    }
+  }
+}
+
+/// The threaded loop: runs \p DF's ops from \p At until one needs run(),
+/// and returns why, with \p At at that op. Each handler ends in its own
+/// indirect jump to the next op's handler.
+///
+/// Every op is charged its cost before it runs. A fused op charges each
+/// half before that half runs, and when the step limit falls between the
+/// halves it moves on to the second, unfused, which stops there; so the
+/// counters, the step limit and every fault, profile hook and site count
+/// see the IR's operations, not the dispatches.
+template <bool Observed>
+Executor::Stop Executor::exec(DecodedFunction &DF, Frame &Fr, const Op *&At,
+                              Cell &ResultOut, obs::ExecutionProfile *P,
+                              obs::ProfileFrameState &PFS) {
+  static void *const Handlers[] = {
+#define NASCENT_XOP_LABEL(Name) &&Do##Name,
+      NASCENT_XOPS(NASCENT_XOP_LABEL)
+#undef NASCENT_XOP_LABEL
+  };
+
+  const Op *const Code = DF.Ops.data();
   Cell *S = Fr.Slots.data();
   const uint64_t MaxSteps = Opts.MaxSteps;
-  Counters C = Cnt;
-  uint32_t Pc = DF.EntryPc;
+  const size_t PFn = DF.ProfileFn;
+  uint64_t Steps = Cnt.Steps;
+  const Op *O = At;
 
-  for (;;) {
-    const Op &O = Code[Pc];
-    // Falling off a block is reported even at the step limit.
-    if (C.Steps >= MaxSteps && O.Code != XOp::FellOff) [[unlikely]] {
-      fault(ExecResult::Status::StepLimit, "step limit exceeded");
-      goto Exit;
-    }
-    C.Steps += O.Cost;
-    ++C.Ops;
-
-    switch (O.Code) {
-    case XOp::AddI:
-      S[O.D].I = S[O.A].I + S[O.B].I;
-      break;
-    case XOp::SubI:
-      S[O.D].I = S[O.A].I - S[O.B].I;
-      break;
-    case XOp::MulI:
-      S[O.D].I = S[O.A].I * S[O.B].I;
-      break;
-    case XOp::DivI:
-      if (S[O.B].I == 0) {
-        fault(ExecResult::Status::HardFault, "integer division by zero");
-        goto Exit;
-      }
-      S[O.D].I = S[O.A].I / S[O.B].I;
-      break;
-    case XOp::ModI:
-      if (S[O.B].I == 0) {
-        fault(ExecResult::Status::HardFault, "mod by zero");
-        goto Exit;
-      }
-      S[O.D].I = S[O.A].I % S[O.B].I;
-      break;
-    case XOp::MinI:
-      S[O.D].I = std::min(S[O.A].I, S[O.B].I);
-      break;
-    case XOp::MaxI:
-      S[O.D].I = std::max(S[O.A].I, S[O.B].I);
-      break;
-    case XOp::NegI:
-      S[O.D].I = -S[O.A].I;
-      break;
-    case XOp::AbsI: {
-      int64_t A = S[O.A].I;
-      S[O.D].I = A < 0 ? -A : A;
-      break;
-    }
-    case XOp::AddR:
-      S[O.D].R = S[O.A].R + S[O.B].R;
-      break;
-    case XOp::SubR:
-      S[O.D].R = S[O.A].R - S[O.B].R;
-      break;
-    case XOp::MulR:
-      S[O.D].R = S[O.A].R * S[O.B].R;
-      break;
-    case XOp::DivR: {
-      double B = S[O.B].R;
-      S[O.D].R = B == 0.0 ? 0.0 : S[O.A].R / B;
-      break;
-    }
-    case XOp::ModR: // the IR gives real mod no meaning; it yields 0
-      S[O.D].R = 0.0;
-      break;
-    case XOp::MinR:
-      S[O.D].R = std::min(S[O.A].R, S[O.B].R);
-      break;
-    case XOp::MaxR:
-      S[O.D].R = std::max(S[O.A].R, S[O.B].R);
-      break;
-    case XOp::NegR:
-      S[O.D].R = -S[O.A].R;
-      break;
-    case XOp::AbsR:
-      S[O.D].R = std::fabs(S[O.A].R);
-      break;
-    case XOp::EqI:
-      S[O.D].I = S[O.A].I == S[O.B].I;
-      break;
-    case XOp::NeI:
-      S[O.D].I = S[O.A].I != S[O.B].I;
-      break;
-    case XOp::LtI:
-      S[O.D].I = S[O.A].I < S[O.B].I;
-      break;
-    case XOp::LeI:
-      S[O.D].I = S[O.A].I <= S[O.B].I;
-      break;
-    case XOp::GtI:
-      S[O.D].I = S[O.A].I > S[O.B].I;
-      break;
-    case XOp::GeI:
-      S[O.D].I = S[O.A].I >= S[O.B].I;
-      break;
-    case XOp::EqR:
-      S[O.D].I = S[O.A].R == S[O.B].R;
-      break;
-    case XOp::NeR:
-      S[O.D].I = S[O.A].R != S[O.B].R;
-      break;
-    case XOp::LtR:
-      S[O.D].I = S[O.A].R < S[O.B].R;
-      break;
-    case XOp::LeR:
-      S[O.D].I = S[O.A].R <= S[O.B].R;
-      break;
-    case XOp::GtR:
-      S[O.D].I = S[O.A].R > S[O.B].R;
-      break;
-    case XOp::GeR:
-      S[O.D].I = S[O.A].R >= S[O.B].R;
-      break;
-    case XOp::And:
-      S[O.D].I = S[O.A].I != 0 && S[O.B].I != 0;
-      break;
-    case XOp::Or:
-      S[O.D].I = S[O.A].I != 0 || S[O.B].I != 0;
-      break;
-    case XOp::Not:
-      S[O.D].I = S[O.A].I == 0;
-      break;
-    case XOp::CopyI:
-      S[O.D].I = S[O.A].I;
-      break;
-    case XOp::CopyR:
-      S[O.D].R = S[O.A].R;
-      break;
-    case XOp::IntToReal:
-      S[O.D].R = static_cast<double>(S[O.A].I);
-      break;
-    case XOp::RealToInt:
-      S[O.D].I = static_cast<int64_t>(S[O.A].R);
-      break;
-    case XOp::Convert:
-      --C.Ops; // not an operation of the IR (and costs nothing)
-      S[O.D].I = S[O.A].I;
-      S[O.D].R = static_cast<double>(S[O.A].I);
-      break;
-    case XOp::Load: {
-      ArrayStorage *A = Fr.Arrays[O.A];
-      size_t Off = 0;
-      if (!A || !offset(DF, S, *A, O, Off)) {
-        faultAccess(DF, O, A != nullptr);
-        goto Exit;
-      }
-      if (A->Elem == ScalarType::Real)
-        S[O.D].R = A->Reals[Off];
-      else
-        S[O.D].I = A->Ints[Off];
-      if constexpr (Observed)
-        if (P)
-          P->noteAccess(PFn, O.A, /*IsStore=*/false);
-      break;
-    }
-    case XOp::Store: {
-      ArrayStorage *A = Fr.Arrays[O.A];
-      size_t Off = 0;
-      if (!A || !offset(DF, S, *A, O, Off)) {
-        faultAccess(DF, O, A != nullptr);
-        goto Exit;
-      }
-      if (A->Elem != ScalarType::Real)
-        A->Ints[Off] = S[O.D].I;
-      else
-        A->Reals[Off] = S[O.D].R;
-      if constexpr (Observed)
-        if (P)
-          P->noteAccess(PFn, O.A, /*IsStore=*/true);
-      break;
-    }
-    case XOp::Check: {
-      ++C.Checks;
-      if constexpr (Observed)
-        if (Opts.CountCheckSites)
-          obs::saturatingInc(DF.SiteHits[Pc]);
-      bool Traps = !holds(DF, S, Checks[O.X]);
-      if constexpr (Observed)
-        if (P)
-          P->noteCheck(PFn, O.Block, O.Index, Traps);
-      if (Traps) {
-        faultCheck(DF, O);
-        goto Exit;
-      }
-      break;
-    }
-    case XOp::CondCheck: {
-      ++C.Checks;
-      ++C.CondChecks;
-      if constexpr (Observed)
-        if (Opts.CountCheckSites)
-          obs::saturatingInc(DF.SiteHits[Pc]);
-      bool GuardsHold = true;
-      for (uint32_t G = 1; G <= O.B; ++G)
-        if (!holds(DF, S, Checks[O.X + G])) {
-          GuardsHold = false;
-          break;
-        }
-      bool Traps = GuardsHold && !holds(DF, S, Checks[O.X]);
-      if constexpr (Observed)
-        if (P)
-          P->noteCheck(PFn, O.Block, O.Index, Traps);
-      if (Traps) {
-        faultCheck(DF, O);
-        goto Exit;
-      }
-      break;
-    }
-    case XOp::Trap:
-      fault(ExecResult::Status::Trapped,
-            "trap instruction reached (compile-time range violation)");
-      goto Exit;
-    case XOp::Br:
-      Pc = S[O.A].I != 0 ? O.D : O.B;
-      if constexpr (Observed)
-        if (P)
-          P->enterBlock(PFn, Code[Pc].Block, PFS);
-      continue;
-    case XOp::Jump:
-      Pc = O.D;
-      if constexpr (Observed)
-        if (P)
-          P->enterBlock(PFn, Code[Pc].Block, PFS);
-      continue;
-    case XOp::Ret:
-      goto Exit;
-    case XOp::RetI:
-      ResultOut.I = S[O.A].I;
-      goto Exit;
-    case XOp::RetR:
-      ResultOut.R = S[O.A].R;
-      goto Exit;
-    case XOp::Call: {
-      CallSite &CS = DF.Calls[O.X];
-      if (!CS.Decoded)
-        CS.Decoded = &decoded(CS.Callee);
-      DecodedFunction &Callee = *CS.Decoded;
-      Frame Sub;
-      makeFrame(Callee, Sub);
-      // Marshal arguments: scalars by value (with conversion), arrays by
-      // reference.
-      for (uint32_t K = CS.ArgBegin; K != CS.ArgEnd; ++K) {
-        const ArgMove &A = DF.Args[K];
-        switch (A.K) {
-        case ArgMove::Array:
-          Sub.Arrays[A.To] = Fr.Arrays[A.From];
-          break;
-        case ArgMove::Int:
-          Sub.Slots[A.To].I = S[A.From].I;
-          break;
-        case ArgMove::Real:
-          Sub.Slots[A.To].R = S[A.From].R;
-          break;
-        }
-      }
-      Cell Result;
-      Cnt = C;
-      run<Observed>(Callee, Sub, Result, Depth + 1);
-      C = Cnt;
-      if (halted())
-        goto Exit;
-      if (CS.Dest != InvalidSymbol) {
-        if (CS.DestReal)
-          S[CS.Dest].R = Result.R;
-        else
-          S[CS.Dest].I = Result.I;
-      }
-      break;
-    }
-    case XOp::CallUnknown:
-      fault(ExecResult::Status::HardFault,
-            "call to unknown function " + instruction(DF, O).Callee);
-      goto Exit;
-    case XOp::PrintI:
-      R.Output.push_back(std::to_string(S[O.A].I));
-      break;
-    case XOp::PrintR:
-      R.Output.push_back(formatString("%.6g", S[O.A].R));
-      break;
-    case XOp::PrintB:
-      R.Output.push_back(S[O.A].I ? "T" : "F");
-      break;
-    case XOp::FellOff:
-      --C.Ops; // the sentinel is not an operation (and costs nothing)
-      fault(ExecResult::Status::HardFault,
-            "fell off the end of block bb" + std::to_string(O.Block));
-      goto Exit;
-    }
-    ++Pc;
+// Hands the op at O back to run().
+#define STOP(Why)                                                              \
+  do {                                                                         \
+    At = O;                                                                    \
+    Cnt.Steps = Steps;                                                         \
+    return Stop::Why;                                                          \
+  } while (0)
+// Runs the op at O: at the step limit stops, otherwise charges the op and
+// jumps to its handler.
+#define DISPATCH()                                                             \
+  do {                                                                         \
+    if (Steps >= MaxSteps) [[unlikely]]                                        \
+      goto AtLimit;                                                            \
+    Steps += O->Cost;                                                          \
+    goto *Handlers[static_cast<unsigned>(O->Code)];                            \
+  } while (0)
+#define NEXT(N)                                                                \
+  do {                                                                         \
+    O += (N);                                                                  \
+    DISPATCH();                                                                \
+  } while (0)
+// Charges the second half of a fused op, O[1]; at the step limit, moves to
+// it instead, so it runs as its own op and the limit stops it there.
+#define SECOND_HALF()                                                          \
+  do {                                                                         \
+    if (Steps >= MaxSteps) [[unlikely]] {                                      \
+      ++O;                                                                     \
+      goto AtLimit;                                                            \
+    }                                                                          \
+    Steps += O[1].Cost;                                                        \
+  } while (0)
+// The profile hook of a taken branch or jump, O being its target.
+#define ENTER_BLOCK()                                                          \
+  do {                                                                         \
+    if constexpr (Observed)                                                    \
+      if (P)                                                                   \
+        P->enterBlock(PFn, O->Block, PFS);                                     \
+  } while (0)
+// Executes the Check1 at K: counts and observes it, and stops at it when
+// it fails.
+#define CHECK1(K)                                                              \
+  do {                                                                         \
+    ++Cnt.Checks;                                                              \
+    if constexpr (Observed)                                                    \
+      if (Opts.CountCheckSites)                                                \
+        obs::saturatingInc(DF.SiteHits[(K) - Code]);                           \
+    bool Traps = !((K)->Coeff * S[(K)->A].I <= (K)->Bound);                    \
+    if constexpr (Observed)                                                    \
+      if (P)                                                                   \
+        P->noteCheck(PFn, (K)->Block, (K)->Index, Traps);                      \
+    if (Traps) {                                                               \
+      O = (K);                                                                 \
+      STOP(Fault);                                                             \
+    }                                                                          \
+  } while (0)
+#define COMPUTE(Name, Field, Expr)                                             \
+  Do##Name : S[O->D].Field = (Expr);                                           \
+  NEXT(1);
+#define COMPARE_BRANCH(Name, Rel)                                              \
+  Do##Name##Br : {                                                             \
+    bool Taken = S[O->A].I Rel S[O->B].I;                                      \
+    S[O->D].I = Taken;                                                         \
+    SECOND_HALF();                                                             \
+    O = Code + (Taken ? O[1].D : O[1].B);                                      \
+    ENTER_BLOCK();                                                             \
+    DISPATCH();                                                                \
   }
-Exit:
-  Cnt = C;
+
+  DISPATCH();
+
+  COMPUTE(AddI, I, S[O->A].I + S[O->B].I)
+  COMPUTE(SubI, I, S[O->A].I - S[O->B].I)
+  COMPUTE(MulI, I, S[O->A].I * S[O->B].I)
+DoDivI:
+  if (S[O->B].I == 0)
+    STOP(Fault);
+  S[O->D].I = S[O->A].I / S[O->B].I;
+  NEXT(1);
+DoModI:
+  if (S[O->B].I == 0)
+    STOP(Fault);
+  S[O->D].I = S[O->A].I % S[O->B].I;
+  NEXT(1);
+  COMPUTE(MinI, I, std::min(S[O->A].I, S[O->B].I))
+  COMPUTE(MaxI, I, std::max(S[O->A].I, S[O->B].I))
+  COMPUTE(NegI, I, -S[O->A].I)
+  COMPUTE(AbsI, I, S[O->A].I < 0 ? -S[O->A].I : S[O->A].I)
+  COMPUTE(AddR, R, S[O->A].R + S[O->B].R)
+  COMPUTE(SubR, R, S[O->A].R - S[O->B].R)
+  COMPUTE(MulR, R, S[O->A].R * S[O->B].R)
+  COMPUTE(DivR, R, S[O->B].R == 0.0 ? 0.0 : S[O->A].R / S[O->B].R)
+  COMPUTE(ModR, R, 0.0) // the IR gives real mod no meaning; it yields 0
+  COMPUTE(MinR, R, std::min(S[O->A].R, S[O->B].R))
+  COMPUTE(MaxR, R, std::max(S[O->A].R, S[O->B].R))
+  COMPUTE(NegR, R, -S[O->A].R)
+  COMPUTE(AbsR, R, std::fabs(S[O->A].R))
+  COMPUTE(EqI, I, S[O->A].I == S[O->B].I)
+  COMPUTE(NeI, I, S[O->A].I != S[O->B].I)
+  COMPUTE(LtI, I, S[O->A].I < S[O->B].I)
+  COMPUTE(LeI, I, S[O->A].I <= S[O->B].I)
+  COMPUTE(GtI, I, S[O->A].I > S[O->B].I)
+  COMPUTE(GeI, I, S[O->A].I >= S[O->B].I)
+  COMPUTE(EqR, I, S[O->A].R == S[O->B].R)
+  COMPUTE(NeR, I, S[O->A].R != S[O->B].R)
+  COMPUTE(LtR, I, S[O->A].R < S[O->B].R)
+  COMPUTE(LeR, I, S[O->A].R <= S[O->B].R)
+  COMPUTE(GtR, I, S[O->A].R > S[O->B].R)
+  COMPUTE(GeR, I, S[O->A].R >= S[O->B].R)
+  COMPUTE(And, I, S[O->A].I != 0 && S[O->B].I != 0)
+  COMPUTE(Or, I, S[O->A].I != 0 || S[O->B].I != 0)
+  COMPUTE(Not, I, S[O->A].I == 0)
+  COMPUTE(CopyI, I, S[O->A].I)
+  COMPUTE(CopyR, R, S[O->A].R)
+  COMPUTE(IntToReal, R, static_cast<double>(S[O->A].I))
+  COMPUTE(RealToInt, I, static_cast<int64_t>(S[O->A].R))
+DoConvert:
+  S[O->D].I = S[O->A].I;
+  S[O->D].R = static_cast<double>(S[O->A].I);
+  NEXT(1);
+DoLoad: {
+  Cnt.Address += O->Cost - 1;
+  ArrayStorage *A = Fr.Arrays[O->A];
+  size_t Off = 0;
+  if (!A || !offset(DF, S, *A, *O, Off))
+    STOP(Fault);
+  if (A->Elem == ScalarType::Real)
+    S[O->D].R = A->Reals[Off];
+  else
+    S[O->D].I = A->Ints[Off];
+  if constexpr (Observed)
+    if (P)
+      P->noteAccess(PFn, O->A, /*IsStore=*/false);
+  NEXT(1);
+}
+DoStore: {
+  Cnt.Address += O->Cost - 1;
+  ArrayStorage *A = Fr.Arrays[O->A];
+  size_t Off = 0;
+  if (!A || !offset(DF, S, *A, *O, Off))
+    STOP(Fault);
+  if (A->Elem != ScalarType::Real)
+    A->Ints[Off] = S[O->D].I;
+  else
+    A->Reals[Off] = S[O->D].R;
+  if constexpr (Observed)
+    if (P)
+      P->noteAccess(PFn, O->A, /*IsStore=*/true);
+  NEXT(1);
+}
+DoCheck: {
+  ++Cnt.Checks;
+  if constexpr (Observed)
+    if (Opts.CountCheckSites)
+      obs::saturatingInc(DF.SiteHits[O - Code]);
+  bool Traps = !holds(DF, S, DF.Checks[O->X]);
+  if constexpr (Observed)
+    if (P)
+      P->noteCheck(PFn, O->Block, O->Index, Traps);
+  if (Traps)
+    STOP(Fault);
+  NEXT(1);
+}
+DoCondCheck: {
+  ++Cnt.Checks;
+  ++Cnt.CondChecks;
+  if constexpr (Observed)
+    if (Opts.CountCheckSites)
+      obs::saturatingInc(DF.SiteHits[O - Code]);
+  bool GuardsHold = true;
+  for (uint32_t G = 1; G <= O->B; ++G)
+    if (!holds(DF, S, DF.Checks[O->X + G])) {
+      GuardsHold = false;
+      break;
+    }
+  bool Traps = GuardsHold && !holds(DF, S, DF.Checks[O->X]);
+  if constexpr (Observed)
+    if (P)
+      P->noteCheck(PFn, O->Block, O->Index, Traps);
+  if (Traps)
+    STOP(Fault);
+  NEXT(1);
+}
+DoTrap:
+  STOP(Fault);
+DoBr:
+  O = Code + (S[O->A].I != 0 ? O->D : O->B);
+  ENTER_BLOCK();
+  DISPATCH();
+DoJump:
+  O = Code + O->D;
+  ENTER_BLOCK();
+  DISPATCH();
+DoRet:
+  STOP(Return);
+DoRetI:
+  ResultOut.I = S[O->A].I;
+  STOP(Return);
+DoRetR:
+  ResultOut.R = S[O->A].R;
+  STOP(Return);
+DoCall:
+  STOP(Call);
+DoCallUnknown:
+  STOP(Fault);
+DoPrintI:
+DoPrintR:
+DoPrintB:
+  STOP(Print);
+DoFellOff:
+  STOP(Fault);
+DoCheck1:
+  CHECK1(O);
+  NEXT(1);
+  COMPARE_BRANCH(EqI, ==)
+  COMPARE_BRANCH(NeI, !=)
+  COMPARE_BRANCH(LtI, <)
+  COMPARE_BRANCH(LeI, <=)
+  COMPARE_BRANCH(GtI, >)
+  COMPARE_BRANCH(GeI, >=)
+DoCheck1Pair:
+  CHECK1(O);
+  SECOND_HALF();
+  CHECK1(O + 1);
+  NEXT(2);
+DoAddIJump:
+  S[O->D].I = S[O->A].I + S[O->B].I;
+  SECOND_HALF();
+  O = Code + O[1].D;
+  ENTER_BLOCK();
+  DISPATCH();
+AtLimit:
+  // Falling off a block is reported even at the step limit.
+  if (O->Code == XOp::FellOff)
+    STOP(Fault);
+  STOP(StepLimit);
+
+#undef COMPARE_BRANCH
+#undef COMPUTE
+#undef CHECK1
+#undef ENTER_BLOCK
+#undef SECOND_HALF
+#undef NEXT
+#undef DISPATCH
+#undef STOP
 }
 
 } // namespace

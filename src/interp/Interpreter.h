@@ -11,10 +11,15 @@
 /// reach, into a private flat form: one op array per function whose
 /// operands are frame-slot indices (constants preloaded after the
 /// symbols) and whose opcodes are specialised by the types the IR
-/// resolves statically. A single switch loop runs it. Every op keeps its
-/// instruction's cost (instructionCost) and site (block, index, check
-/// tag), so the counters, fault messages, profile and check-site counts
-/// are those of the IR. Nothing is cached across calls.
+/// resolves statically. The decoder's last step specialises one-term
+/// checks and fuses adjacent pairs of ops within a block (an integer
+/// compare and its branch, two one-term checks, an add and a jump); one
+/// threaded, computed-goto dispatch loop runs the result. Every op keeps
+/// its instruction's cost (instructionCost) and site (block, index, check
+/// tag), and a fused op charges and observes each half as its own
+/// operation, so the counters, the step limit, fault messages, profile
+/// and check-site counts are those of the IR. Nothing is cached across
+/// calls.
 ///
 //===----------------------------------------------------------------------===//
 

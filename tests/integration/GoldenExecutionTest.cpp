@@ -8,6 +8,8 @@
 /// fault message. The table pins the interpreter's observable behaviour
 /// bit for bit, so a change to how the interpreter executes (rather than
 /// to what the optimizer produces) cannot move any of them unnoticed.
+/// Each cell runs a second time counting check sites, which must change
+/// nothing but add the sites, whose hits sum to the executed checks.
 ///
 /// A mismatching cell prints its current row in table syntax; when a
 /// change to the optimizer or the suite legitimately moves a cell, the
@@ -122,6 +124,18 @@ TEST(GoldenExecution, WholeSuiteMatchesRecordedResults) {
                   outputHash(E.Output) == G.OutputHash &&
                   E.FaultMessage == G.FaultMessage;
       EXPECT_TRUE(Same) << C.Name << " moved; current:\n" << Current;
+
+      // Counting check sites runs the interpreter's other copy of every
+      // handler; it must give the same result, and its sites must account
+      // for every executed check.
+      InterpOptions Sites;
+      Sites.CountCheckSites = true;
+      ExecResult Observed = interpret(*R.M, Sites);
+      EXPECT_EQ(row(C.Name, Observed), Current) << "with CountCheckSites";
+      uint64_t Hits = 0;
+      for (const obs::CheckSiteCount &S : Observed.CheckSites)
+        Hits += S.Count;
+      EXPECT_EQ(Hits, Observed.DynChecks) << C.Name;
     }
   }
   EXPECT_EQ(Next, Total) << "recorded rows with no matching cell";

@@ -3,7 +3,8 @@
 /// \file
 /// Interpreter tests: arithmetic, control flow, arrays (including
 /// by-reference array parameters), traps, the instruction/check counters,
-/// and the execution limits -- including the edge cases that hand-built
+/// and the execution limits, also where they cut through or fault in a
+/// pair of ops the decoder fused -- including the edge cases that hand-built
 /// IR can reach but the front end never emits (a block without a
 /// terminator, an integer constant compared against a real symbol).
 ///
@@ -12,8 +13,11 @@
 #include "TestHelpers.h"
 
 #include "ir/IRBuilder.h"
+#include "obs/StatRegistry.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace nascent;
 using namespace nascent::test;
@@ -372,6 +376,151 @@ end subroutine
   EXPECT_EQ(E.DynInstrs + E.DynChecks, IO.MaxSteps);
   EXPECT_EQ(E.DynChecks, 2u); // a(3)'s lower and upper bound checks
   EXPECT_TRUE(E.Output.empty());
+}
+
+TEST(Interpreter, StepLimitSweepStopsAtEveryOperation) {
+  // Every limit from 1 to the run's total steps, over a program holding
+  // each pair the decoder fuses (lower/upper check pairs, compare->branch
+  // loop heads, add->jump loop latches) and rank-2 accesses, the costliest
+  // ops (1 + 2 x 2). A limit stops the run at the first operation whose
+  // steps so far reach it, so over the sweep the run stops once after
+  // every operation: the distinct step counts reported are exactly as
+  // many as the operations a full run executes. A fused pair that ran
+  // both halves past the limit would skip one of those stops. Each limit
+  // runs with and without site counting, the two copies of every
+  // handler, which must agree.
+  CompileResult R = compileNaive(R"(
+program p
+  integer i, j, n
+  real a(4), b(3, 3)
+  n = 3
+  do i = 1, n
+    do j = 1, n
+      b(i, j) = real(i + j)
+    end do
+    a(i) = b(i, 2)
+  end do
+  print a(2)
+end program
+)");
+  obs::Counter &Ops = obs::StatRegistry::global().counter("interp.ops");
+  uint64_t OpsBefore = Ops.value();
+  ExecResult Full = interpret(*R.M);
+  uint64_t FullOps = Ops.value() - OpsBefore;
+  ASSERT_EQ(Full.St, ExecResult::Status::Ok) << Full.FaultMessage;
+  const uint64_t Total = Full.DynInstrs + Full.DynChecks;
+  const uint64_t CostliestOp = 5;
+
+  uint64_t Previous = 0;
+  std::set<uint64_t> Stops;
+  for (uint64_t Limit = 1; Limit <= Total; ++Limit) {
+    InterpOptions IO;
+    IO.MaxSteps = Limit;
+    ExecResult E = interpret(*R.M, IO);
+    IO.CountCheckSites = true;
+    ExecResult Observed = interpret(*R.M, IO);
+    uint64_t Steps = E.DynInstrs + E.DynChecks;
+    // The last operation, a unit-cost ret, starts below a limit equal to
+    // the total, so that limit lets the run finish.
+    if (Limit < Total) {
+      EXPECT_EQ(E.St, ExecResult::Status::StepLimit) << Limit;
+      EXPECT_EQ(E.FaultMessage, "step limit exceeded") << Limit;
+    } else {
+      EXPECT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+      EXPECT_EQ(E.Output, Full.Output);
+    }
+    EXPECT_GE(Steps, Limit);
+    EXPECT_LT(Steps, Limit + CostliestOp);
+    EXPECT_GE(Steps, Previous) << Limit;
+    Previous = Steps;
+    Stops.insert(Steps);
+
+    EXPECT_EQ(Observed.St, E.St) << Limit;
+    EXPECT_EQ(Observed.DynInstrs, E.DynInstrs) << Limit;
+    EXPECT_EQ(Observed.DynChecks, E.DynChecks) << Limit;
+    EXPECT_EQ(Observed.Output, E.Output) << Limit;
+    uint64_t SiteHits = 0;
+    for (const obs::CheckSiteCount &S : Observed.CheckSites)
+      SiteHits += S.Count;
+    EXPECT_EQ(SiteHits, E.DynChecks) << Limit;
+  }
+  EXPECT_EQ(Previous, Total);
+  EXPECT_EQ(Stops.size(), FullOps);
+}
+
+/// The (block, index) of every range check in \p F, in program order.
+std::vector<std::pair<BlockID, uint32_t>> checkSites(const Function &F) {
+  std::vector<std::pair<BlockID, uint32_t>> Sites;
+  for (const auto &BB : F) {
+    const auto &Instrs = BB->instructions();
+    for (uint32_t K = 0; K != Instrs.size(); ++K)
+      if (Instrs[K].isRangeCheck())
+        Sites.push_back({BB->id(), K});
+  }
+  return Sites;
+}
+
+TEST(Interpreter, TrapInSecondHalfOfCheckPair) {
+  // a(i)'s lower and upper checks run as one fused op; the lower passes,
+  // the upper fails. The fault names the upper check, both checks count,
+  // and each site is credited to its own instruction.
+  CompileResult R = compileNaive(R"(
+program p
+  integer i
+  real a(10)
+  i = 11
+  a(i) = 1.0
+end program
+)");
+  InterpOptions IO;
+  IO.CountCheckSites = true;
+  ExecResult E = interpret(*R.M, IO);
+  ASSERT_EQ(E.St, ExecResult::Status::Trapped);
+  EXPECT_EQ(E.FaultMessage, "range check failed: Check(i <= 10) (array a, "
+                            "dim 1, upper bound, line 6:3)");
+  EXPECT_EQ(E.DynChecks, 2u);
+  auto Sites = checkSites(*R.M->entry());
+  ASSERT_EQ(Sites.size(), 2u);
+  ASSERT_EQ(E.CheckSites.size(), 2u);
+  for (size_t K = 0; K != 2; ++K) {
+    EXPECT_EQ(E.CheckSites[K].Block, Sites[K].first) << K;
+    EXPECT_EQ(E.CheckSites[K].Index, Sites[K].second) << K;
+    EXPECT_EQ(E.CheckSites[K].Count, 1u) << K;
+  }
+}
+
+TEST(Interpreter, TrapAfterCompareBranchPair) {
+  // The loop head's compare and branch run as one fused op, as does the
+  // latch's add and jump. On the eleventh trip the fused compare->branch
+  // enters the body, whose check pair passes its lower half and traps in
+  // its upper half: the fault names the upper check, every check of the
+  // eleven trips counts, and the site hits split evenly between the two.
+  CompileResult R = compileNaive(R"(
+program p
+  integer i, n
+  real a(10)
+  n = 11
+  do i = 1, n
+    a(i) = 1.0
+  end do
+end program
+)");
+  InterpOptions IO;
+  IO.CountCheckSites = true;
+  ExecResult E = interpret(*R.M, IO);
+  ASSERT_EQ(E.St, ExecResult::Status::Trapped);
+  EXPECT_EQ(E.FaultMessage, "range check failed: Check(i <= 10) (array a, "
+                            "dim 1, upper bound, line 7:5)");
+  EXPECT_EQ(E.DynChecks, 22u);
+  auto Sites = checkSites(*R.M->entry());
+  ASSERT_EQ(Sites.size(), 2u);
+  ASSERT_EQ(E.CheckSites.size(), 2u);
+  for (size_t K = 0; K != 2; ++K) {
+    EXPECT_EQ(E.CheckSites[K].Block, Sites[K].first) << K;
+    EXPECT_EQ(E.CheckSites[K].Index, Sites[K].second) << K;
+    EXPECT_EQ(E.CheckSites[K].Count, 11u) << K;
+  }
+  EXPECT_EQ(interpret(*R.M).DynInstrs, E.DynInstrs);
 }
 
 TEST(Interpreter, FallingOffABlockIsAHardFault) {
