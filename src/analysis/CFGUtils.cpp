@@ -11,7 +11,7 @@ void postOrderVisit(const Function &F, BlockID B, std::vector<bool> &Seen,
   // Iterative DFS to avoid deep recursion on long CFGs.
   struct Frame {
     BlockID B;
-    std::vector<BlockID> Succs;
+    SuccessorList Succs;
     size_t NextSucc = 0;
   };
   std::vector<Frame> Stack;

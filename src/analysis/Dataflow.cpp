@@ -118,7 +118,7 @@ DataflowResult nascent::solveDataflow(const Function &F,
       }
     } else {
       // Out[B] = meet over succs' In (boundary at exit blocks).
-      std::vector<BlockID> Succs = BB->successors();
+      SuccessorList Succs = BB->successors();
       if (Succs.empty()) {
         NewOut = Boundary;
       } else {

@@ -129,8 +129,8 @@ void LoopInfo::findPreheaders(const Function &F) {
       continue;
     // A preheader must fall through solely to the header so an inserted
     // check executes iff the loop is entered.
-    if (F.block(Candidate)->successors() ==
-        std::vector<BlockID>{L->Header})
+    SuccessorList Succs = F.block(Candidate)->successors();
+    if (Succs.size() == 1 && Succs[0] == L->Header)
       L->Preheader = Candidate;
   }
 }

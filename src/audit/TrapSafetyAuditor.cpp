@@ -8,7 +8,6 @@
 
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -58,19 +57,24 @@ bool valuesEq(const std::vector<Value> &A, const std::vector<Value> &B) {
 // the auditor re-derives every side condition rather than trusting the
 // optimizer's own bookkeeping.
 
-std::set<SymbolID> definedSymbols(const Function &F, const Loop &L) {
-  std::set<SymbolID> Out;
+/// Per-symbol flags over \p F's symbol table: true for each symbol some
+/// instruction of \p L defines.
+std::vector<bool> definedSymbols(const Function &F, const Loop &L) {
+  std::vector<bool> Out(F.symbols().size(), false);
   for (BlockID B : L.Blocks)
     for (const Instruction &I : F.block(B)->instructions())
       if (I.Dest != InvalidSymbol)
-        Out.insert(I.Dest);
+        Out[I.Dest] = true;
   return Out;
 }
 
-bool exprInvariant(const LinearExpr &E, const std::set<SymbolID> &Defined) {
+/// True when no symbol of \p E is in \p Defined. Symbols past its end
+/// (optimized-side temporaries newer than the original's table) are not
+/// defined in the original loop.
+bool exprInvariant(const LinearExpr &E, const std::vector<bool> &Defined) {
   for (const auto &[Sym, Coeff] : E.terms()) {
     (void)Coeff;
-    if (Defined.count(Sym))
+    if (Sym < Defined.size() && Defined[Sym])
       return false;
   }
   return true;
@@ -130,7 +134,7 @@ LinearExpr substituteExtreme(const LinearExpr &Expr, SymbolID Var,
 struct LoopEnv {
   const DoLoopInfo *DL = nullptr;
   const Loop *L = nullptr;
-  std::set<SymbolID> Defined;
+  std::vector<bool> Defined; ///< indexed by SymbolID (definedSymbols)
   bool EveryIterCompletes = false;
 };
 
@@ -213,6 +217,15 @@ private:
   std::vector<size_t> TrapGap;
 
   std::optional<IntervalCheckClassification> Intervals;
+
+  /// Scratch reused across blocks: the running set of a block walk, and
+  /// the per-gap sets of the block being audited (anticAtGaps,
+  /// availAtGaps, and auditCoverage's availability at each optimized gap
+  /// end).
+  DenseBitVector Running;
+  std::vector<DenseBitVector> AnticAtGap;
+  std::vector<DenseBitVector> AvailAtGap;
+  std::vector<DenseBitVector> AvailEnd;
 
   const IntervalCheckClassification &intervals() {
     if (!Intervals)
@@ -378,40 +391,47 @@ private:
     }
   }
 
-  /// Per-position anticipatability of the original block: AnticAt[i] is
-  /// the set anticipated immediately before instruction i; AnticAt[n] is
-  /// the block's exit set.
-  std::vector<DenseBitVector> anticPositions(BlockID B) const {
+  /// Anticipatability at each gap start of original block \p B: fills
+  /// AnticAtGap[g] with the set anticipated immediately before instruction
+  /// Gaps.GapStart[g] (the block's exit set when that is the block end).
+  void anticAtGaps(BlockID B, const GapInfo &Gaps) {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Insts.size() + 1);
-    DenseBitVector Cur = B < Antic.Out.size()
-                             ? Antic.Out[B]
-                             : DenseBitVector(OrigCtx.universe().size());
-    At[Insts.size()] = Cur;
-    for (size_t I = Insts.size(); I-- > 0;) {
-      OrigCtx.applyKill(Insts[I], Cur);
-      OrigCtx.applyAnticGen(B, I, Insts[I], Cur);
-      At[I] = Cur;
+    AnticAtGap.resize(Gaps.GapStart.size());
+    if (B < Antic.Out.size())
+      Running = Antic.Out[B];
+    else
+      Running = DenseBitVector(OrigCtx.universe().size());
+    size_t G = Gaps.GapStart.size();
+    for (size_t I = Insts.size();; --I) {
+      if (G > 0 && Gaps.GapStart[G - 1] == I)
+        AnticAtGap[--G] = Running;
+      if (I == 0)
+        break;
+      OrigCtx.applyKill(Insts[I - 1], Running);
+      OrigCtx.applyAnticGen(B, I - 1, Insts[I - 1], Running);
     }
-    return At;
   }
 
-  /// Per-position availability of the original block: AvailAt[i] is the
-  /// set available immediately before instruction i.
-  std::vector<DenseBitVector> availPositions(BlockID B) const {
+  /// Availability at each gap start of original block \p B: fills
+  /// AvailAtGap[g] with the set available immediately before instruction
+  /// Gaps.GapStart[g].
+  void availAtGaps(BlockID B, const GapInfo &Gaps) {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Insts.size() + 1);
-    DenseBitVector Cur = B < Avail.In.size()
-                             ? Avail.In[B]
-                             : DenseBitVector(OrigCtx.universe().size());
-    Cur |= OrigCtx.genInBits(B);
-    for (size_t I = 0; I != Insts.size(); ++I) {
-      At[I] = Cur;
-      OrigCtx.applyKill(Insts[I], Cur);
-      OrigCtx.applyAvailGen(B, I, Insts[I], Cur);
+    AvailAtGap.resize(Gaps.GapStart.size());
+    if (B < Avail.In.size())
+      Running = Avail.In[B];
+    else
+      Running = DenseBitVector(OrigCtx.universe().size());
+    Running |= OrigCtx.genInBits(B);
+    size_t G = 0;
+    for (size_t I = 0;; ++I) {
+      if (G < Gaps.GapStart.size() && Gaps.GapStart[G] == I)
+        AvailAtGap[G++] = Running;
+      if (I == Insts.size())
+        break;
+      OrigCtx.applyKill(Insts[I], Running);
+      OrigCtx.applyAvailGen(B, I, Insts[I], Running);
     }
-    At[Insts.size()] = Cur;
-    return At;
   }
 
   /// True when some symbol of \p E is (re)defined at or after position
@@ -655,19 +675,17 @@ private:
     const BasicBlock &OB = *Orig.block(B);
     const BasicBlock &PB = *Opt.block(B);
     GapInfo Gaps = computeGaps(OB);
-    std::vector<DenseBitVector> AnticAt = anticPositions(B);
-    std::vector<DenseBitVector> AvailAt = availPositions(B);
+    anticAtGaps(B, Gaps);
+    availAtGaps(B, Gaps);
     size_t RNc = 0; // non-checks matched so far == current gap index
     bool Truncated = false;
     for (size_t OI = 0; OI != PB.size(); ++OI) {
       const Instruction &I = PB.instructions()[OI];
       if (I.isRangeCheck()) {
-        const DenseBitVector &AnticGap = AnticAt[Gaps.GapStart[RNc]];
-        const DenseBitVector &AvailGap = AvailAt[Gaps.GapStart[RNc]];
         if (I.Op == Opcode::Check)
-          auditPlainCheck(B, OI, I, AnticGap, AvailGap);
+          auditPlainCheck(B, OI, I, AnticAtGap[RNc], AvailAtGap[RNc]);
         else
-          auditCondCheck(B, OI, I, AnticGap, AvailGap);
+          auditCondCheck(B, OI, I, AnticAtGap[RNc], AvailAtGap[RNc]);
         continue;
       }
       if (RNc < Gaps.NcPos.size() &&
@@ -678,7 +696,7 @@ private:
       if (I.Op == Opcode::Trap) {
         // Compile-time-false check folded into a trap, truncating the
         // block; everything after it in the original is unreachable.
-        auditTrap(B, OI, I, RNc, Gaps, AnticAt[Gaps.GapStart[RNc]]);
+        auditTrap(B, OI, I, RNc, Gaps, AnticAtGap[RNc]);
         TrapGap[B] = RNc;
         Truncated = true;
         break;
@@ -855,15 +873,18 @@ private:
         enumerateChains(Chain, Chains);
       }
 
+    // Targets[i] transported out through the current chain.
+    std::vector<std::optional<CheckExpr>> Transported(Targets.size());
     for (const std::vector<size_t> &Chain : Chains) {
       BlockID Body = EnvOrig[Chain.back()].DL->BodyEntry;
+      for (size_t I = 0; I != Targets.size(); ++I)
+        Transported[I] = chainTransport(Targets[I], Chain);
       // Loop-semantics facts: substituting every chained index's extreme
       // leaves a statically-true check, so the header tests alone
       // guarantee D at the innermost body entry.
-      for (const CheckExpr &D : Targets)
-        if (std::optional<CheckExpr> T = chainTransport(D, Chain))
-          if (constTrue(*T))
-            addFact(Body, D);
+      for (size_t I = 0; I != Targets.size(); ++I)
+        if (Transported[I] && constTrue(*Transported[I]))
+          addFact(Body, Targets[I]);
       // Instruction facts: a (guarded) check physically in the head
       // preheader covers D when its payload is as strong as D's
       // transported form and each guard is an entry guard the chain's
@@ -902,10 +923,9 @@ private:
         }
         if (!GuardsOk)
           continue;
-        for (const CheckExpr &D : Targets)
-          if (std::optional<CheckExpr> T = chainTransport(D, Chain))
-            if (asStrongAs(Inst.Check, *T))
-              addFact(Body, D);
+        for (size_t T = 0; T != Targets.size(); ++T)
+          if (Transported[T] && asStrongAs(Inst.Check, *Transported[T]))
+            addFact(Body, Targets[T]);
       }
     }
     return Facts;
@@ -963,17 +983,23 @@ private:
             ++Report.stats().OriginalChecksCovered;
         continue;
       }
-      // Availability at the end of each optimized gap.
-      std::vector<DenseBitVector> AvailEnd;
-      DenseBitVector Cur = BAvail.In[B];
-      Cur |= BCtx.genInBits(B);
+      // Availability at the end of each optimized gap: AvailEnd[g] for
+      // g < NumGapEnds.
+      size_t NumGapEnds = 0;
+      Running = BAvail.In[B];
+      Running |= BCtx.genInBits(B);
       const BasicBlock &PB = *Opt.block(B);
       for (size_t I = 0; I != PB.size(); ++I) {
         const Instruction &Inst = PB.instructions()[I];
-        if (!Inst.isRangeCheck())
-          AvailEnd.push_back(Cur);
-        BCtx.applyKill(Inst, Cur);
-        BCtx.applyAvailGen(B, I, Inst, Cur);
+        if (!Inst.isRangeCheck()) {
+          if (NumGapEnds == AvailEnd.size())
+            AvailEnd.push_back(Running);
+          else
+            AvailEnd[NumGapEnds] = Running;
+          ++NumGapEnds;
+        }
+        BCtx.applyKill(Inst, Running);
+        BCtx.applyAvailGen(B, I, Inst, Running);
       }
       const BasicBlock &OB = *Orig.block(B);
       size_t G = 0;
@@ -996,7 +1022,7 @@ private:
           continue;
         }
         bool Found = false;
-        if (G < AvailEnd.size())
+        if (G < NumGapEnds)
           AvailEnd[G].forEachSetBit([&](size_t Bit) {
             if (!Found && asStrongAs(BCtx.universe().check(
                                          static_cast<CheckID>(Bit)),

@@ -17,6 +17,26 @@
 
 namespace nascent {
 
+/// A block's successor ids, held by value: at most two (a Br's true then
+/// false target, or a Jump's target), so walking a CFG allocates nothing.
+class SuccessorList {
+public:
+  const BlockID *begin() const { return Ids; }
+  const BlockID *end() const { return Ids + N; }
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  BlockID operator[](size_t I) const {
+    assert(I < N && "successor index out of range");
+    return Ids[I];
+  }
+
+private:
+  friend class BasicBlock;
+
+  BlockID Ids[2] = {InvalidBlock, InvalidBlock};
+  uint32_t N = 0;
+};
+
 /// One CFG node. Blocks are owned by their Function and addressed by their
 /// dense BlockID.
 class BasicBlock {
@@ -69,8 +89,21 @@ public:
     Insts.insert(Insts.end() - 1, std::move(I));
   }
 
-  /// Successor block ids, derived from the terminator (empty for Ret/Trap).
-  std::vector<BlockID> successors() const;
+  /// Successor block ids, derived from the terminator: a Br's true then
+  /// false target (one id when both are equal), a Jump's target, none for
+  /// Ret/Trap or an unterminated block.
+  SuccessorList successors() const {
+    SuccessorList S;
+    if (Insts.empty())
+      return S;
+    const Instruction &T = Insts.back();
+    if (T.Op == Opcode::Br || T.Op == Opcode::Jump) {
+      S.Ids[S.N++] = T.TrueTarget;
+      if (T.Op == Opcode::Br && T.FalseTarget != T.TrueTarget)
+        S.Ids[S.N++] = T.FalseTarget;
+    }
+    return S;
+  }
 
   /// Predecessors; valid only after Function::recomputePreds.
   const std::vector<BlockID> &preds() const { return Preds; }

@@ -22,25 +22,6 @@ void Function::recomputePreds() {
   }
 }
 
-std::vector<BlockID> BasicBlock::successors() const {
-  if (Insts.empty())
-    return {};
-  const Instruction &T = Insts.back();
-  switch (T.Op) {
-  case Opcode::Br:
-    if (T.TrueTarget == T.FalseTarget)
-      return {T.TrueTarget};
-    return {T.TrueTarget, T.FalseTarget};
-  case Opcode::Jump:
-    return {T.TrueTarget};
-  case Opcode::Ret:
-  case Opcode::Trap:
-    return {};
-  default:
-    return {};
-  }
-}
-
 unsigned Function::splitCriticalEdges() {
   recomputePreds();
   unsigned NumSplit = 0;
@@ -52,7 +33,7 @@ unsigned Function::splitCriticalEdges() {
   };
   std::vector<Edge> Critical;
   for (auto &B : Blocks) {
-    std::vector<BlockID> Succs = B->successors();
+    SuccessorList Succs = B->successors();
     if (Succs.size() < 2)
       continue;
     for (BlockID S : Succs)

@@ -1,16 +1,12 @@
 #include "support/DenseBitVector.h"
 
+#include <algorithm>
 #include <atomic>
-#include <bit>
 
 using namespace nascent;
 
 namespace {
-/// The calling thread's word-parallel operation count; one increment per
-/// call, not per word, so the hot solver loops pay a single thread-local
-/// add. Retired into the process-wide atomic when the thread's stat
-/// shard flushes (obs/StatRegistry calls retireThreadOps()).
-thread_local uint64_t WordOpCount = 0;
+/// Op counts retired from exited threads (see retireThreadOps()).
 std::atomic<uint64_t> RetiredWordOps{0};
 } // namespace
 
@@ -23,98 +19,65 @@ void DenseBitVector::retireThreadOps() {
   WordOpCount = 0;
 }
 
-uint64_t DenseBitVector::threadWordOps() { return WordOpCount; }
-
-void DenseBitVector::creditThreadOps(uint64_t N) { WordOpCount += N; }
-
 DenseBitVector::DenseBitVector(size_t NumBits, bool InitialValue)
-    : NumBits(NumBits), Words((NumBits + 63) / 64, 0) {
+    : NumBits(NumBits) {
+  if (NumBits > 64) {
+    Capacity = numWords();
+    Words = new uint64_t[Capacity];
+  }
   if (InitialValue)
     setAll();
+  else
+    resetAll();
+}
+
+void DenseBitVector::copyToHeap(const DenseBitVector &O) {
+  Capacity = numWords();
+  Words = new uint64_t[Capacity];
+  std::copy_n(O.Words, Capacity, Words);
+}
+
+void DenseBitVector::assignSlow(const DenseBitVector &O) {
+  if (O.isInline()) {
+    release();
+    Words = &Inline;
+    Capacity = 0;
+    Inline = O.Inline;
+  } else {
+    if (Capacity < O.numWords()) {
+      // Allocate before releasing so a failed allocation leaves *this intact.
+      uint64_t *Buffer = new uint64_t[O.numWords()];
+      release();
+      Words = Buffer;
+      Capacity = O.numWords();
+    }
+    std::copy_n(O.Words, O.numWords(), Words);
+  }
+  NumBits = O.NumBits;
 }
 
 void DenseBitVector::resize(size_t NewNumBits) {
-  NumBits = NewNumBits;
-  Words.resize((NewNumBits + 63) / 64, 0);
-  clearUnusedBits();
-}
-
-void DenseBitVector::setAll() {
-  for (uint64_t &W : Words)
-    W = ~uint64_t(0);
-  clearUnusedBits();
-}
-
-void DenseBitVector::resetAll() {
-  for (uint64_t &W : Words)
-    W = 0;
-}
-
-bool DenseBitVector::any() const {
-  for (uint64_t W : Words)
-    if (W != 0)
-      return true;
-  return false;
-}
-
-size_t DenseBitVector::count() const {
-  ++WordOpCount;
-  size_t N = 0;
-  for (uint64_t W : Words)
-    N += static_cast<size_t>(std::popcount(W));
-  return N;
-}
-
-size_t DenseBitVector::findNext(size_t From) const {
-  if (From >= NumBits)
-    return npos;
-  size_t WordIdx = From / 64;
-  uint64_t W = Words[WordIdx] & (~uint64_t(0) << (From % 64));
-  while (true) {
-    if (W != 0) {
-      size_t Bit = WordIdx * 64 + static_cast<size_t>(std::countr_zero(W));
-      return Bit < NumBits ? Bit : npos;
+  size_t OldWords = numWords();
+  if (NewNumBits <= 64) {
+    if (!isInline()) {
+      uint64_t First = Words[0];
+      release();
+      Words = &Inline;
+      Capacity = 0;
+      Inline = First;
     }
-    if (++WordIdx == Words.size())
-      return npos;
-    W = Words[WordIdx];
+  } else {
+    size_t NewWords = (NewNumBits + 63) / 64;
+    if (NewWords > Capacity) {
+      uint64_t *Grown = new uint64_t[NewWords];
+      std::copy_n(Words, OldWords, Grown);
+      release();
+      Words = Grown;
+      Capacity = NewWords;
+    }
+    std::fill(Words + OldWords, Words + std::max(OldWords, NewWords),
+              uint64_t(0));
   }
+  NumBits = NewNumBits;
+  clearUnusedBits();
 }
-
-DenseBitVector &DenseBitVector::operator|=(const DenseBitVector &RHS) {
-  ++WordOpCount;
-  assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] |= RHS.Words[I];
-  return *this;
-}
-
-DenseBitVector &DenseBitVector::operator&=(const DenseBitVector &RHS) {
-  ++WordOpCount;
-  assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= RHS.Words[I];
-  return *this;
-}
-
-DenseBitVector &DenseBitVector::andNot(const DenseBitVector &RHS) {
-  ++WordOpCount;
-  assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= ~RHS.Words[I];
-  return *this;
-}
-
-void DenseBitVector::clearUnusedBits() {
-  if (NumBits % 64 != 0 && !Words.empty())
-    Words.back() &= (uint64_t(1) << (NumBits % 64)) - 1;
-}
-
-namespace nascent {
-
-bool operator==(const DenseBitVector &A, const DenseBitVector &B) {
-  ++WordOpCount;
-  return A.NumBits == B.NumBits && A.Words == B.Words;
-}
-
-} // namespace nascent

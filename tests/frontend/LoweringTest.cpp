@@ -188,7 +188,8 @@ end program
   // Canonical shape: preheader jumps to header; header branches to body
   // and exit; latch increments the index and jumps to the header.
   F->recomputePreds();
-  EXPECT_EQ(F->block(DL.Preheader)->successors(),
+  SuccessorList PreheaderSuccs = F->block(DL.Preheader)->successors();
+  EXPECT_EQ(std::vector<BlockID>(PreheaderSuccs.begin(), PreheaderSuccs.end()),
             std::vector<BlockID>{DL.Header});
   auto HeaderSuccs = F->block(DL.Header)->successors();
   ASSERT_EQ(HeaderSuccs.size(), 2u);

@@ -14,6 +14,15 @@
 
 using namespace nascent;
 
+namespace {
+
+std::vector<BlockID> succIds(const BasicBlock &BB) {
+  SuccessorList S = BB.successors();
+  return std::vector<BlockID>(S.begin(), S.end());
+}
+
+} // namespace
+
 TEST(SymbolTable, CreateAndLookup) {
   SymbolTable T;
   SymbolID N = T.createScalar("n", ScalarType::Int, /*IsParam=*/true);
@@ -59,13 +68,55 @@ TEST(IRBuilder, BuildsDiamond) {
   B.emitRet();
 
   F.recomputePreds();
-  EXPECT_EQ(Entry->successors(), (std::vector<BlockID>{Then->id(),
+  EXPECT_EQ(succIds(*Entry), (std::vector<BlockID>{Then->id(),
                                                        Else->id()}));
   EXPECT_EQ(Join->preds().size(), 2u);
   EXPECT_TRUE(Join->terminator().Op == Opcode::Ret);
 
   DiagnosticEngine D;
   EXPECT_TRUE(verifyFunction(F, D)) << D.render();
+}
+
+TEST(BasicBlock, SuccessorsFollowTheTerminator) {
+  // Order is part of the contract: RPO, the data-flow visit order and
+  // every printed CFG walk follow it.
+  Function F("f");
+  IRBuilder B(F);
+  SymbolID C = F.symbols().createScalar("c", ScalarType::Bool);
+  BasicBlock *Split = B.createBlock("split");
+  BasicBlock *Same = B.createBlock("same");
+  BasicBlock *Jump = B.createBlock("jump");
+  BasicBlock *Ret = B.createBlock("ret");
+  BasicBlock *Trap = B.createBlock("trap");
+  BasicBlock *Empty = B.createBlock("empty");
+  B.setInsertBlock(Split);
+  B.emitBr(Value::sym(C), Trap->id(), Same->id());
+  B.setInsertBlock(Same);
+  B.emitBr(Value::sym(C), Jump->id(), Jump->id());
+  B.setInsertBlock(Jump);
+  B.emitJump(Ret->id());
+  B.setInsertBlock(Ret);
+  B.emitRet();
+  B.setInsertBlock(Trap);
+  B.emitTrap();
+
+  SuccessorList S = Split->successors();
+  ASSERT_EQ(S.size(), 2u);
+  EXPECT_FALSE(S.empty());
+  EXPECT_EQ(S[0], Trap->id());
+  EXPECT_EQ(S[1], Same->id());
+  EXPECT_EQ(succIds(*Split), (std::vector<BlockID>{Trap->id(), Same->id()}));
+
+  // A Br whose two targets are equal has one successor.
+  EXPECT_EQ(succIds(*Same), std::vector<BlockID>{Jump->id()});
+  EXPECT_EQ(Same->successors().size(), 1u);
+  EXPECT_EQ(succIds(*Jump), std::vector<BlockID>{Ret->id()});
+
+  for (const BasicBlock *BB : {Ret, Trap, Empty}) {
+    EXPECT_TRUE(BB->successors().empty()) << BB->name();
+    EXPECT_EQ(BB->successors().size(), 0u) << BB->name();
+    EXPECT_TRUE(succIds(*BB).empty()) << BB->name();
+  }
 }
 
 TEST(Function, SplitCriticalEdges) {
