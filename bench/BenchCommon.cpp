@@ -4,6 +4,7 @@
 #include "obs/BenchSchema.h"
 #include "support/ThreadPool.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,20 +97,16 @@ bool nascent::bench::parseBenchFlags(int Argc, char **Argv, BenchFlags &Out) {
     else if (std::strcmp(Argv[I], "--tiny") == 0)
       Out.Tiny = true;
     else if (std::strcmp(Argv[I], "--reps") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 1)
+      if (!parseCountFlag(Argv[++I], UINT_MAX, Out.Reps) || Out.Reps == 0)
         return Usage();
-      Out.Reps = static_cast<unsigned>(N);
     } else if (std::strcmp(Argv[I], "--warmup") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 0)
+      if (!parseCountFlag(Argv[++I], UINT_MAX, Out.Warmup))
         return Usage();
-      Out.Warmup = static_cast<unsigned>(N);
     } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 0)
+      unsigned Requested = 0;
+      if (!parseJobCount(Argv[++I], Requested))
         return Usage();
-      Out.Jobs = resolveJobCount(static_cast<unsigned>(N));
+      Out.Jobs = resolveJobCount(Requested);
     } else
       return Usage();
   }

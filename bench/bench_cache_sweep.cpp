@@ -47,29 +47,14 @@ struct BatchResult {
 
 std::vector<BatchJob> makeBatch(const std::vector<SuiteProgram> &Suite,
                                 cache::ArtifactCache *Cache) {
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-  const ImplicationMode Modes[] = {ImplicationMode::All,
-                                   ImplicationMode::CrossFamilyOnly,
-                                   ImplicationMode::None};
-  std::vector<BatchJob> Batch;
-  for (const SuiteProgram &P : Suite) {
-    // One shared buffer per program across its 27 cells, like sweep.
-    auto Source = std::make_shared<const std::string>(P.Source);
-    for (PlacementScheme Scheme : Schemes) {
-      for (ImplicationMode Mode : Modes) {
-        PipelineOptions PO;
-        PO.Opt.Scheme = Scheme;
-        PO.Opt.Implications = Mode;
-        PO.Cache.Enabled = Cache != nullptr;
-        PO.Cache.Cache = Cache;
-        Batch.push_back({Source, PO});
-      }
-    }
-  }
-  return Batch;
+  // One shared buffer per program across its 27 cells, like sweep.
+  std::vector<NamedSource> Programs;
+  for (const SuiteProgram &P : Suite)
+    Programs.push_back({P.Name, std::make_shared<const std::string>(P.Source)});
+  PipelineOptions Base;
+  Base.Cache.Enabled = Cache != nullptr;
+  Base.Cache.Cache = Cache;
+  return buildSweepGrid(Programs, Base).Jobs;
 }
 
 BatchResult runBatch(const std::vector<SuiteProgram> &Suite, bool Cached,

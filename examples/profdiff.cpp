@@ -31,6 +31,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -41,11 +42,6 @@
 using namespace nascent;
 
 namespace {
-
-const PlacementScheme Schemes[] = {
-    PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-    PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-    PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
 
 /// Everything profdiff needs from one (program, config) run.
 struct RunProfile {
@@ -94,23 +90,29 @@ std::string siteLabel(const obs::FunctionProfile &FP,
 } // namespace
 
 int main(int argc, char **argv) {
+  auto Usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--json] [--top N] [--jobs N] [program ...]\n",
+                 argv[0]);
+    return 2;
+  };
   bool Json = false;
-  size_t Top = 10;
+  unsigned Top = 10;
   unsigned Jobs = 1;
   std::vector<const SuiteProgram *> Programs;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--json") == 0)
       Json = true;
-    else if (std::strcmp(argv[I], "--top") == 0 && I + 1 < argc)
-      Top = std::strtoul(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc)
-      Jobs = resolveJobCount(
-          static_cast<unsigned>(std::strtoul(argv[++I], nullptr, 10)));
-    else if (argv[I][0] == '-') {
-      std::fprintf(stderr,
-                   "usage: %s [--json] [--top N] [--jobs N] [program ...]\n",
-                   argv[0]);
-      return 2;
+    else if (std::strcmp(argv[I], "--top") == 0 && I + 1 < argc) {
+      if (!parseCountFlag(argv[++I], UINT_MAX, Top))
+        return Usage();
+    } else if (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc) {
+      unsigned Requested = 0;
+      if (!parseJobCount(argv[++I], Requested))
+        return Usage();
+      Jobs = resolveJobCount(Requested);
+    } else if (argv[I][0] == '-') {
+      return Usage();
     } else {
       const SuiteProgram *P = findSuiteProgram(argv[I]);
       if (!P) {
@@ -133,7 +135,7 @@ int main(int argc, char **argv) {
     Naive.Optimize = false;
     Naive.Telemetry.Profile = true;
     Batch.push_back({P->Source, Naive});
-    for (PlacementScheme S : Schemes) {
+    for (PlacementScheme S : AllPlacementSchemes) {
       PipelineOptions PO;
       PO.Opt.Scheme = S;
       PO.Telemetry.Profile = true;
@@ -142,7 +144,7 @@ int main(int argc, char **argv) {
   }
   std::vector<BatchJobResult> Results = BatchCompiler(Jobs).run(Batch);
 
-  const size_t PerProgram = 1 + std::size(Schemes);
+  const size_t PerProgram = 1 + std::size(AllPlacementSchemes);
   unsigned Failures = 0;
 
   obs::JsonWriter W;
@@ -197,10 +199,11 @@ int main(int argc, char **argv) {
         H.Tag = S.Tag;
         H.Site = siteLabel(FP, S);
         H.Hits = S.Hits;
-        for (size_t SC = 0; SC != std::size(Schemes); ++SC)
+        for (size_t SC = 0; SC != std::size(AllPlacementSchemes); ++SC)
           if (Summaries[1 + SC].Ok &&
               !Summaries[1 + SC].ResidualTags.count(S.Tag))
-            H.EliminatedBy.push_back(placementSchemeName(Schemes[SC]));
+            H.EliminatedBy.push_back(
+                placementSchemeName(AllPlacementSchemes[SC]));
         Hot.push_back(std::move(H));
       }
     std::stable_sort(Hot.begin(), Hot.end(),
@@ -229,9 +232,10 @@ int main(int argc, char **argv) {
       A.ResidualSites += S.ResidualSites;
     };
     Accumulate("naive", Summaries[0]);
-    for (size_t SC = 0; SC != std::size(Schemes); ++SC)
+    for (size_t SC = 0; SC != std::size(AllPlacementSchemes); ++SC)
       if (Summaries[1 + SC].Ok)
-        Accumulate(placementSchemeName(Schemes[SC]), Summaries[1 + SC]);
+        Accumulate(placementSchemeName(AllPlacementSchemes[SC]),
+                   Summaries[1 + SC]);
 
     if (Json) {
       W.beginObject();
@@ -248,9 +252,10 @@ int main(int argc, char **argv) {
         W.endObject();
       };
       SchemeRow("naive", Summaries[0]);
-      for (size_t SC = 0; SC != std::size(Schemes); ++SC)
+      for (size_t SC = 0; SC != std::size(AllPlacementSchemes); ++SC)
         if (Summaries[1 + SC].Ok)
-          SchemeRow(placementSchemeName(Schemes[SC]), Summaries[1 + SC]);
+          SchemeRow(placementSchemeName(AllPlacementSchemes[SC]),
+                    Summaries[1 + SC]);
       W.endArray();
       W.key("hotSites").beginArray();
       for (const HotSite &H : Hot) {
@@ -282,9 +287,10 @@ int main(int argc, char **argv) {
                                             S.ResidualSites))});
       };
       DensityRow("naive", Summaries[0]);
-      for (size_t SC = 0; SC != std::size(Schemes); ++SC)
+      for (size_t SC = 0; SC != std::size(AllPlacementSchemes); ++SC)
         if (Summaries[1 + SC].Ok)
-          DensityRow(placementSchemeName(Schemes[SC]), Summaries[1 + SC]);
+          DensityRow(placementSchemeName(AllPlacementSchemes[SC]),
+                     Summaries[1 + SC]);
       std::printf("%s\n", DT.render().c_str());
 
       TextTable HT({"site", "tag", "dyn count", "% of accesses",

@@ -15,6 +15,8 @@
 ///   sweep --provenance      # per-run lifecycle record (+ reconcile gate)
 ///   sweep --profile         # interpret every compiled result and report
 ///                           # dynamic check density per configuration
+///   sweep --audit           # trap-safety audit of every cell; exits 1 on
+///                           # any finding (the `audit-all` CI gate)
 ///   sweep --cache           # share frontend/analysis artifacts across
 ///                           # cells (docs/caching.md); stats on stderr
 ///   sweep -trace-out=PATH   # one merged Chrome trace, one lane per
@@ -25,8 +27,8 @@
 /// Results are consumed in submission order and no job count is echoed
 /// into the document, so the output is bit-identical for every --jobs
 /// value (timing columns aside; --profile drops them so its whole output
-/// is byte-identical across job counts) — the same determinism contract
-/// audit_all relies on (docs/parallelism.md). The remark and provenance
+/// is byte-identical across job counts) — the determinism contract of
+/// docs/parallelism.md. The remark and provenance
 /// streams inherit the contract: each job buffers into its own
 /// collectors, and sweep flushes the buffers in submission order, so
 /// `--jobs N` output matches a serial run byte for byte.
@@ -81,6 +83,7 @@ int main(int argc, char **argv) {
   bool Remarks = false;
   bool Provenance = false;
   bool Profile = false;
+  bool Audit = false;
   bool UseCache = false;
   std::string RemarkFilter;
   std::string TracePath;
@@ -98,6 +101,8 @@ int main(int argc, char **argv) {
       Provenance = true;
     else if (std::strcmp(argv[I], "--profile") == 0)
       Profile = true;
+    else if (std::strcmp(argv[I], "--audit") == 0)
+      Audit = true;
     else if (std::strcmp(argv[I], "--cache") == 0)
       UseCache = true;
     else if (std::strncmp(argv[I], "-trace-out=", 11) == 0)
@@ -118,30 +123,18 @@ int main(int argc, char **argv) {
     else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--remarks[=REGEX]] [--provenance] "
-                   "[--profile] [--cache] [-trace-out=PATH] [--jobs N] "
-                   "[FILE.mf ...]\n",
+                   "[--profile] [--audit] [--cache] [-trace-out=PATH] "
+                   "[--jobs N] [FILE.mf ...]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-  const ImplicationMode Modes[] = {ImplicationMode::All,
-                                   ImplicationMode::CrossFamilyOnly,
-                                   ImplicationMode::None};
-
   // Every program's text is materialised exactly once — suite sources are
   // wrapped in one shared buffer each, file arguments are read once here —
   // and every grid cell over that program shares the same buffer through
   // BatchJob's shared_ptr, instead of re-reading or copying per cell.
-  struct ProgramEntry {
-    std::string Name;
-    std::shared_ptr<const std::string> Source;
-  };
-  std::vector<ProgramEntry> Programs;
+  std::vector<NamedSource> Programs;
   if (Files.empty()) {
     for (const SuiteProgram &P : benchmarkSuite())
       Programs.push_back(
@@ -160,30 +153,16 @@ int main(int argc, char **argv) {
     }
   }
 
-  struct RunKey {
-    std::string Program;
-    PlacementScheme Scheme;
-    ImplicationMode Mode;
-  };
-  std::vector<BatchJob> Batch;
-  std::vector<RunKey> Keys;
-  for (const ProgramEntry &P : Programs) {
-    for (PlacementScheme Scheme : Schemes) {
-      for (ImplicationMode Mode : Modes) {
-        PipelineOptions PO;
-        PO.Opt.Scheme = Scheme;
-        PO.Opt.Implications = Mode;
-        PO.Cache.Enabled = UseCache;
-        PO.Telemetry.Trace = !TracePath.empty();
-        PO.Telemetry.Remarks = Remarks;
-        PO.Telemetry.RemarkFilter = RemarkFilter;
-        PO.Telemetry.Provenance = Provenance;
-        PO.Telemetry.Profile = Profile;
-        Batch.push_back({P.Source, PO});
-        Keys.push_back({P.Name, Scheme, Mode});
-      }
-    }
-  }
+  PipelineOptions Base;
+  Base.Audit = Audit;
+  Base.Cache.Enabled = UseCache;
+  Base.Telemetry.Trace = !TracePath.empty();
+  Base.Telemetry.Remarks = Remarks;
+  Base.Telemetry.RemarkFilter = RemarkFilter;
+  Base.Telemetry.Provenance = Provenance;
+  Base.Telemetry.Profile = Profile;
+  // Keys[I] names the cell Results[I] comes back for.
+  auto [Batch, Keys] = buildSweepGrid(Programs, Base);
 
   if (UseCache)
     cache::ArtifactCache::global().resetStats();
@@ -212,7 +191,7 @@ int main(int argc, char **argv) {
   // matter how the pool interleaved the jobs.
   if (Remarks) {
     for (size_t I = 0; I != Results.size(); ++I) {
-      const RunKey &K = Keys[I];
+      const GridCell &K = Keys[I];
       const CompileResult &R = Results[I].Result;
       if (!R.Success || R.Remarks.remarks().empty())
         continue;
@@ -254,9 +233,10 @@ int main(int argc, char **argv) {
   }
 
   unsigned Failures = 0;
+  AuditStats AuditTotal;
   std::map<std::pair<std::string, std::string>, ConfigSummary> Summaries;
   for (size_t I = 0; I != Results.size(); ++I) {
-    const RunKey &K = Keys[I];
+    const GridCell &K = Keys[I];
     const CompileResult &R = Results[I].Result;
     if (!R.Success) {
       std::fprintf(stderr, "sweep: %s/%s: compile failed:\n%s\n",
@@ -288,6 +268,8 @@ int main(int argc, char **argv) {
       W.kv("program", K.Program);
       W.kv("scheme", placementSchemeName(K.Scheme));
       W.kv("impl", implicationModeName(K.Mode));
+      if (Audit)
+        W.kv("clean", R.Audit.clean());
       W.kv("staticChecks", SC.Checks);
       W.key("stats");
       R.Stats.writeJson(W);
@@ -317,6 +299,15 @@ int main(int argc, char **argv) {
                      implicationModeName(K.Mode));
         for (const std::string &P : Problems)
           std::fprintf(stderr, "  %s\n", P.c_str());
+        ++Failures;
+      }
+    }
+    if (Audit) {
+      AuditTotal += R.Audit.stats();
+      if (!R.Audit.clean()) {
+        std::fprintf(stderr, "sweep: %s scheme=%s impl=%s audit FAILED\n%s",
+                     K.Program.c_str(), placementSchemeName(K.Scheme),
+                     implicationModeName(K.Mode), R.Audit.render().c_str());
         ++Failures;
       }
     }
@@ -360,8 +351,15 @@ int main(int argc, char **argv) {
     return Failures ? 1 : 0;
   }
 
-  std::printf("sweep: %zu compilations, %u failures\n\n", Results.size(),
+  std::printf("sweep: %zu compilations, %u failures\n", Results.size(),
               Failures);
+  if (Audit)
+    std::printf("sweep: audit: checks=%u condchecks=%u traps=%u "
+                "covered=%u facts=%u\n",
+                AuditTotal.ChecksAudited, AuditTotal.CondChecksAudited,
+                AuditTotal.TrapsAudited, AuditTotal.OriginalChecksCovered,
+                AuditTotal.FactsValidated);
+  std::printf("\n");
   std::vector<std::string> Cols = {"scheme",   "impl",     "static",
                                    "deleted",  "inserted", "word ops"};
   if (Profile) {

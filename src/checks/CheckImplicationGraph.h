@@ -32,8 +32,14 @@ enum class ImplicationMode {
   All,             ///< within-family order and cross-family edges
 };
 
-/// The mode's short name as sweep and audit_all print it: "none",
-/// "cross", "all".
+/// Every implication mode, strongest first: the mode axis of the
+/// (program, scheme, implication mode) grid, in the order sweep documents
+/// list it (declaration order would put None first).
+inline constexpr ImplicationMode AllImplicationModes[] = {
+    ImplicationMode::All, ImplicationMode::CrossFamilyOnly,
+    ImplicationMode::None};
+
+/// The mode's short name as sweep prints it: "none", "cross", "all".
 const char *implicationModeName(ImplicationMode M);
 
 /// Weighted implication graph over the families of a CheckUniverse.

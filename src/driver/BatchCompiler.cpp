@@ -49,11 +49,29 @@ BatchCompiler::run(const std::vector<BatchJob> &Batch) const {
   return Results;
 }
 
+SweepGrid nascent::buildSweepGrid(const std::vector<NamedSource> &Programs,
+                                  const PipelineOptions &Base) {
+  SweepGrid G;
+  for (const NamedSource &P : Programs) {
+    for (PlacementScheme Scheme : AllPlacementSchemes) {
+      for (ImplicationMode Mode : AllImplicationModes) {
+        PipelineOptions PO = Base;
+        PO.Opt.Scheme = Scheme;
+        PO.Opt.Implications = Mode;
+        G.Jobs.push_back({P.Text, std::move(PO)});
+        G.Cells.push_back({P.Name, Scheme, Mode});
+      }
+    }
+  }
+  return G;
+}
+
 unsigned nascent::resolveJobCount(unsigned Requested) {
   return Requested == 0 ? ThreadPool::defaultWorkers() : Requested;
 }
 
-bool nascent::parseJobCount(const std::string &Text, unsigned &Out) {
+bool nascent::parseCountFlag(const std::string &Text, unsigned Max,
+                             unsigned &Out) {
   if (Text.empty())
     return false;
   uint64_t V = 0;
@@ -61,9 +79,14 @@ bool nascent::parseJobCount(const std::string &Text, unsigned &Out) {
     if (C < '0' || C > '9')
       return false;
     V = V * 10 + static_cast<uint64_t>(C - '0');
-    if (V > 4096) // far above any sane worker count; also bounds overflow
+    if (V > Max) // also bounds overflow: V stays below 10 * 2^32
       return false;
   }
   Out = static_cast<unsigned>(V);
   return true;
+}
+
+bool nascent::parseJobCount(const std::string &Text, unsigned &Out) {
+  // Far above any sane worker count.
+  return parseCountFlag(Text, 4096, Out);
 }

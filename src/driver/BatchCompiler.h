@@ -3,8 +3,9 @@
 /// \file
 /// Batch compilation: fan a vector of (source, PipelineOptions) jobs
 /// across a ThreadPool and return the results in submission order. This
-/// is the engine behind `audit_all --jobs N`, the bench suite sweeps, and
-/// the `sweep` example.
+/// is the engine behind `sweep --jobs N` (and its `--audit` gate) and the
+/// bench suite sweeps. buildSweepGrid defines the experimental grid they
+/// walk: every program under every placement scheme and implication mode.
 ///
 /// Determinism contract (docs/parallelism.md): each job is a pure
 /// function of its (source, options) pair — compileSource shares no
@@ -74,16 +75,45 @@ private:
   unsigned NumJobs;
 };
 
+/// A program to sweep: its display name and its text, shared by every
+/// cell over it.
+struct NamedSource {
+  std::string Name;
+  std::shared_ptr<const std::string> Text;
+};
+
+/// One cell of the (program, scheme, implication mode) grid.
+struct GridCell {
+  std::string Program;
+  PlacementScheme Scheme = PlacementScheme::NI;
+  ImplicationMode Mode = ImplicationMode::All;
+};
+
+/// The grid as a batch: Jobs[I] compiles the cell Cells[I].
+struct SweepGrid {
+  std::vector<BatchJob> Jobs;
+  std::vector<GridCell> Cells;
+};
+
+/// Builds the canonical program-major batch over \p Programs ×
+/// AllPlacementSchemes × AllImplicationModes. Every job is \p Base with
+/// the cell's scheme and implication mode set.
+SweepGrid buildSweepGrid(const std::vector<NamedSource> &Programs,
+                         const PipelineOptions &Base);
+
 /// Maps a --jobs flag value to a worker count: 0 means "auto" (the
 /// hardware concurrency), anything else is taken literally.
 unsigned resolveJobCount(unsigned Requested);
 
-/// Strictly parses a --jobs flag value: a string of decimal digits,
-/// where 0 means "auto-detect hardware concurrency".
-/// Returns false — leaving \p Out untouched — for empty, negative,
-/// non-numeric, trailing-garbage, or overflowing text, so drivers can
-/// diagnose "--jobs -3" and "--jobs fast" instead of silently taking
-/// whatever strtoul salvages.
+/// Strictly parses a count flag value (--top, --reps, ...): a string of
+/// decimal digits whose value is at most \p Max. Returns false — leaving
+/// \p Out untouched — for empty, negative, non-numeric, trailing-garbage,
+/// or too-large text, so drivers can diagnose "--jobs -3" and
+/// "--jobs fast" instead of silently taking whatever strtoul salvages.
+bool parseCountFlag(const std::string &Text, unsigned Max, unsigned &Out);
+
+/// Strictly parses a --jobs flag value with parseCountFlag, capped at
+/// 4096 workers; 0 means "auto-detect hardware concurrency".
 bool parseJobCount(const std::string &Text, unsigned &Out);
 
 } // namespace nascent

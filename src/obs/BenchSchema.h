@@ -3,7 +3,7 @@
 /// \file
 /// The versioned bench record schema. Every machine-readable document the
 /// project emits (`--json` harness output, `mfc -stats-json`,
-/// `audit_all --json`) is stamped with `schemaVersion`; bench documents
+/// `sweep --json`) is stamped with `schemaVersion`; bench documents
 /// additionally carry the harness name, an environment block (compiler,
 /// build type, flags, sanitizers, git revision, CPU), and the repetition
 /// config, so a baseline file read months later still says what produced

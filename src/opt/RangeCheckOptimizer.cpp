@@ -22,31 +22,26 @@ bool nascent::parsePlacementScheme(const std::string &Name,
   std::string Upper = Name;
   for (char &C : Upper)
     C = static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
-  if (Upper == "NI")
-    Out = PlacementScheme::NI;
-  else if (Upper == "CS")
-    Out = PlacementScheme::CS;
-  else if (Upper == "LNI")
-    Out = PlacementScheme::LNI;
-  else if (Upper == "SE")
-    Out = PlacementScheme::SE;
-  else if (Upper == "LI")
-    Out = PlacementScheme::LI;
-  else if (Upper == "LLS")
-    Out = PlacementScheme::LLS;
-  else if (Upper == "ALL")
-    Out = PlacementScheme::ALL;
-  else if (Upper == "MCM")
-    Out = PlacementScheme::MCM;
-  else if (Upper == "AI")
-    Out = PlacementScheme::AI;
-  else
-    return false;
-  return true;
+  for (PlacementScheme S : AllPlacementSchemes) {
+    if (Upper == placementSchemeName(S)) {
+      Out = S;
+      return true;
+    }
+  }
+  return false;
 }
 
 const char *nascent::placementSchemeNames() {
-  return "NI, CS, LNI, SE, LI, LLS, ALL, MCM, AI";
+  static const std::string Names = [] {
+    std::string L;
+    for (PlacementScheme S : AllPlacementSchemes) {
+      if (!L.empty())
+        L += ", ";
+      L += placementSchemeName(S);
+    }
+    return L;
+  }();
+  return Names.c_str();
 }
 
 const char *nascent::placementSchemeName(PlacementScheme S) {

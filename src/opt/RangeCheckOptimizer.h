@@ -49,6 +49,14 @@ enum class PlacementScheme {
   AI,
 };
 
+/// Every placement scheme, in enum order: the scheme axis of the
+/// (program, scheme, implication mode) grid behind Tables 2 and 3. Scheme
+/// parsing and the valid-name list are derived from it.
+inline constexpr PlacementScheme AllPlacementSchemes[] = {
+    PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
+    PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
+    PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
+
 /// Parses/prints scheme names ("NI", "CS", ...). Parsing is
 /// case-insensitive; returns false on unknown names.
 bool parsePlacementScheme(const std::string &Name, PlacementScheme &Out);

@@ -93,9 +93,7 @@ inline void expectAllSchemesPreserveBehavior(const std::string &Source,
        {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
         PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
         PlacementScheme::ALL}) {
-    for (ImplicationMode Mode :
-         {ImplicationMode::All, ImplicationMode::CrossFamilyOnly,
-          ImplicationMode::None}) {
+    for (ImplicationMode Mode : AllImplicationModes) {
       CompileResult Opt = compileWithScheme(Source, Scheme, Src, Mode);
       ExecResult OptRun = interpret(*Opt.M);
       std::string Label = std::string(placementSchemeName(Scheme)) + "/" +

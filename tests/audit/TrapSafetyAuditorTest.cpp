@@ -185,12 +185,10 @@ TEST(TrapSafetyAuditor, CatchesUnjustifiedTrapAndReplacedInstruction) {
 }
 
 TEST(TrapSafetyAuditor, PipelineAuditsSuiteCleanUnderEveryScheme) {
-  // The full 270-configuration sweep lives in examples/audit_all (label
-  // check-audit); here a representative slice keeps unit runs fast.
+  // The full 270-configuration sweep is `sweep --audit` (label
+  // check-audit); here one program keeps unit runs fast.
   const SuiteProgram *P = &benchmarkSuite()[0];
-  for (PlacementScheme Scheme :
-       {PlacementScheme::LLS, PlacementScheme::ALL, PlacementScheme::SE,
-        PlacementScheme::MCM, PlacementScheme::AI}) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     PipelineOptions PO;
     PO.Opt.Scheme = Scheme;
     PO.Audit = true;

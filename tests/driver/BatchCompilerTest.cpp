@@ -6,7 +6,8 @@
 /// count. For every placement scheme this compiles the audit matrix at
 /// --jobs 1, 2, and 8 and asserts the optimizer stats, the audit
 /// findings, and the per-job stat deltas are bit-identical to the serial
-/// run. Runs under TSan via the check-threads label.
+/// run. Runs under TSan via the check-threads label. Also pins the shape
+/// of the sweep grid and the strict --jobs parser.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,11 @@
 
 #include "gtest/gtest.h"
 
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace nascent;
@@ -48,27 +52,16 @@ std::vector<JobFingerprint> fingerprints(unsigned Jobs,
   return Out;
 }
 
+/// vortex under every (scheme, implication mode) cell, audited.
 std::vector<BatchJob> auditMatrix() {
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-  const ImplicationMode Modes[] = {ImplicationMode::All,
-                                   ImplicationMode::CrossFamilyOnly,
-                                   ImplicationMode::None};
   const SuiteProgram *P = findSuiteProgram("vortex");
   EXPECT_NE(P, nullptr);
-  std::vector<BatchJob> Batch;
-  for (PlacementScheme Scheme : Schemes) {
-    for (ImplicationMode Mode : Modes) {
-      PipelineOptions PO;
-      PO.Opt.Scheme = Scheme;
-      PO.Opt.Implications = Mode;
-      PO.Audit = true;
-      Batch.push_back({P->Source, PO});
-    }
-  }
-  return Batch;
+  PipelineOptions Base;
+  Base.Audit = true;
+  return buildSweepGrid(
+             {{P->Name, std::make_shared<const std::string>(P->Source)}},
+             Base)
+      .Jobs;
 }
 
 TEST(BatchCompiler, ParallelRunsMatchSerialForEveryScheme) {
@@ -124,6 +117,55 @@ TEST(BatchCompiler, CompileErrorsAreReportedNotThrown) {
     ASSERT_EQ(Results.size(), Batch.size());
     for (const BatchJobResult &R : Results)
       EXPECT_FALSE(R.Result.Success);
+  }
+}
+
+TEST(BatchCompiler, SweepGridIsProgramMajorAndKeysEveryJob) {
+  auto A = std::make_shared<const std::string>("program a\nend program\n");
+  auto B = std::make_shared<const std::string>("program b\nend program\n");
+  PipelineOptions Base;
+  Base.Audit = true;
+  Base.Telemetry.Provenance = true;
+  SweepGrid G = buildSweepGrid({{"a", A}, {"b", B}}, Base);
+
+  const size_t PerProgram =
+      std::size(AllPlacementSchemes) * std::size(AllImplicationModes);
+  ASSERT_EQ(G.Jobs.size(), 2 * PerProgram);
+  ASSERT_EQ(G.Cells.size(), G.Jobs.size());
+  size_t I = 0;
+  for (const char *Program : {"a", "b"}) {
+    for (PlacementScheme Scheme : AllPlacementSchemes) {
+      for (ImplicationMode Mode : AllImplicationModes) {
+        const GridCell &C = G.Cells[I];
+        const BatchJob &J = G.Jobs[I];
+        EXPECT_EQ(C.Program, Program) << "cell " << I;
+        EXPECT_EQ(C.Scheme, Scheme) << "cell " << I;
+        EXPECT_EQ(C.Mode, Mode) << "cell " << I;
+        EXPECT_EQ(J.Opts.Opt.Scheme, Scheme) << "cell " << I;
+        EXPECT_EQ(J.Opts.Opt.Implications, Mode) << "cell " << I;
+        // The base options ride along; the program text is shared.
+        EXPECT_TRUE(J.Opts.Audit) << "cell " << I;
+        EXPECT_TRUE(J.Opts.Telemetry.Provenance) << "cell " << I;
+        EXPECT_EQ(J.Source, I < PerProgram ? A : B) << "cell " << I;
+        ++I;
+      }
+    }
+  }
+}
+
+TEST(BatchCompiler, ParseJobCountAcceptsOnlyBoundedDecimals) {
+  for (const char *Bad :
+       {"", "-3", "fast", "8x", "4097", "99999999999999999999"}) {
+    unsigned Out = 77;
+    EXPECT_FALSE(parseJobCount(Bad, Out)) << "'" << Bad << "'";
+    EXPECT_EQ(Out, 77u) << "'" << Bad << "' touched the output";
+  }
+  const std::pair<const char *, unsigned> Good[] = {
+      {"0", 0}, {"8", 8}, {"4096", 4096}};
+  for (const auto &[Text, Want] : Good) {
+    unsigned Out = 77;
+    EXPECT_TRUE(parseJobCount(Text, Out)) << "'" << Text << "'";
+    EXPECT_EQ(Out, Want) << "'" << Text << "'";
   }
 }
 

@@ -63,10 +63,7 @@ std::vector<BuildCell> buildCells(const std::string &Program) {
   BuildCell Naive{Program + "/naive", {}};
   Naive.Opts.Optimize = false;
   Cells.push_back(Naive);
-  for (PlacementScheme S :
-       {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
-        PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
-        PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI})
+  for (PlacementScheme S : AllPlacementSchemes)
     for (CheckSource Src : {CheckSource::PRX, CheckSource::INX}) {
       BuildCell C{Program + "/" + placementSchemeName(S) + "/" +
                       (Src == CheckSource::PRX ? "PRX" : "INX"),

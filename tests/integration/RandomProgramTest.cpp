@@ -190,9 +190,7 @@ TEST_P(RandomProgramTest, AllConfigurationsPreserveBehavior) {
          {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
           PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
           PlacementScheme::ALL, PlacementScheme::MCM}) {
-      for (ImplicationMode Mode :
-           {ImplicationMode::All, ImplicationMode::CrossFamilyOnly,
-            ImplicationMode::None}) {
+      for (ImplicationMode Mode : AllImplicationModes) {
         CompileResult Opt = compileWithScheme(Source, Scheme, Src, Mode);
         ExecResult OptRun = interpret(*Opt.M);
         expectBehaviorPreserved(

@@ -91,12 +91,7 @@ TEST(ProfileTrap, NaiveTrapRecordsPartialTripCount) {
 }
 
 TEST(ProfileTrap, TotalsReconcileAcrossAllSchemes) {
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-
-  for (PlacementScheme Scheme : Schemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     const std::string Label = placementSchemeName(Scheme);
     TrappedRun T = runTrapped(Scheme);
     const obs::ExecutionProfile &P = T.R.Profile;

@@ -36,11 +36,6 @@ obs::StatSnapshot::FlatMap compileDelta(const SuiteProgram &P,
 }
 
 TEST(Determinism, WorkProxyDeltasAreBitIdenticalAcrossSchemes) {
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
 
@@ -48,7 +43,7 @@ TEST(Determinism, WorkProxyDeltasAreBitIdenticalAcrossSchemes) {
   // initialisation cannot show up as a first-run-only delta.
   compileDelta(*P, PlacementScheme::NI);
 
-  for (PlacementScheme Scheme : Schemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     obs::StatSnapshot::FlatMap First = compileDelta(*P, Scheme);
     obs::StatSnapshot::FlatMap Second = compileDelta(*P, Scheme);
     EXPECT_FALSE(First.empty()) << placementSchemeName(Scheme);
@@ -72,17 +67,13 @@ TEST(Determinism, SchemesAreDistinguishedByTheirDeltas) {
 TEST(Determinism, WorkCountersAreBitIdenticalAcrossJobCounts) {
   // The sharded registry's contract under BatchCompiler: the per-job
   // stat deltas and the whole-batch registry growth are the same for
-  // --jobs 1, 2, and 8. This is what lets audit_all --jobs N and the
+  // --jobs 1, 2, and 8. This is what lets sweep --audit --jobs N and the
   // bench sweeps gate on exact counters regardless of worker count.
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
 
   std::vector<BatchJob> Batch;
-  for (PlacementScheme Scheme : Schemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     PipelineOptions PO;
     PO.Opt.Scheme = Scheme;
     Batch.push_back({P->Source, PO});
@@ -99,7 +90,7 @@ TEST(Determinism, WorkCountersAreBitIdenticalAcrossJobCounts) {
   std::vector<obs::StatSnapshot::FlatMap> Serial = WorkMaps(1);
   for (size_t I = 0; I != Serial.size(); ++I)
     EXPECT_FALSE(Serial[I].empty())
-        << placementSchemeName(Schemes[I]);
+        << placementSchemeName(AllPlacementSchemes[I]);
   EXPECT_EQ(WorkMaps(2), Serial);
   EXPECT_EQ(WorkMaps(8), Serial);
 }
@@ -108,16 +99,12 @@ TEST(Determinism, ProvenanceJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   // The lifecycle record carries no timestamps and is written in pass
   // order, so its serialised form must match byte for byte across
   // repeated runs and across BatchCompiler job counts — the contract the
-  // sweep/audit_all --provenance documents rely on.
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
+  // sweep --provenance documents rely on.
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
 
   std::vector<BatchJob> Batch;
-  for (PlacementScheme Scheme : Schemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     PipelineOptions PO;
     PO.Opt.Scheme = Scheme;
     PO.Telemetry.Provenance = true;
@@ -136,7 +123,7 @@ TEST(Determinism, ProvenanceJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   std::vector<std::string> Serial = ProvenanceJsons(1);
   for (size_t I = 0; I != Serial.size(); ++I)
     EXPECT_NE(Serial[I].find("\"events\""), std::string::npos)
-        << placementSchemeName(Schemes[I]);
+        << placementSchemeName(AllPlacementSchemes[I]);
   EXPECT_EQ(ProvenanceJsons(1), Serial); // repeated serial run
   EXPECT_EQ(ProvenanceJsons(2), Serial);
   EXPECT_EQ(ProvenanceJsons(8), Serial);
@@ -149,15 +136,11 @@ TEST(Determinism, ProfileJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   // serially must serialise byte for byte — the contract behind
   // `sweep --profile --jobs N` and merged profile documents
   // (docs/profiling.md).
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
 
   std::vector<BatchJob> Batch;
-  for (PlacementScheme Scheme : Schemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     PipelineOptions PO;
     PO.Opt.Scheme = Scheme;
     PO.Telemetry.Profile = true;
@@ -182,7 +165,7 @@ TEST(Determinism, ProfileJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   std::vector<std::string> Serial = ProfileJsons(1);
   for (size_t I = 0; I != Serial.size(); ++I)
     EXPECT_NE(Serial[I].find("\"profileVersion\""), std::string::npos)
-        << placementSchemeName(Schemes[I]);
+        << placementSchemeName(AllPlacementSchemes[I]);
   EXPECT_EQ(ProfileJsons(1), Serial); // repeated serial run
   EXPECT_EQ(ProfileJsons(2), Serial);
   EXPECT_EQ(ProfileJsons(8), Serial);
@@ -195,10 +178,6 @@ TEST(Determinism, CacheOnAndOffProduceBitIdenticalOutputs) {
   // (so the second compile of each scheme hits the cache) and compare the
   // per-job work maps, provenance JSON, and profile JSON against a
   // cache-off run of the same batch, at every job count.
-  const PlacementScheme Schemes[] = {
-      PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-      PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-      PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
 
@@ -206,7 +185,7 @@ TEST(Determinism, CacheOnAndOffProduceBitIdenticalOutputs) {
     std::vector<BatchJob> Batch;
     auto Source = std::make_shared<const std::string>(P->Source);
     for (int Round = 0; Round != 2; ++Round) {
-      for (PlacementScheme Scheme : Schemes) {
+      for (PlacementScheme Scheme : AllPlacementSchemes) {
         PipelineOptions PO;
         PO.Opt.Scheme = Scheme;
         PO.Cache.Enabled = UseCache;

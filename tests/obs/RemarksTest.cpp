@@ -83,11 +83,6 @@ CompileResult compileWithRemarks(const char *Source, PlacementScheme S,
   return compileOrDie(Source, PO);
 }
 
-const PlacementScheme AllSchemes[] = {
-    PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-    PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-    PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-
 /// A statically failing subscript: a(20) folds into a trap (under AI,
 /// value ranges prove it) that truncates its block. Other schemes delete
 /// b(4)'s constant checks as available first; under AI they close under
@@ -155,10 +150,7 @@ void expectSameRemark(const obs::Remark &A, const obs::Remark &B,
 } // namespace
 
 TEST(Remarks, ReconcilesWithStatsAcrossAllSchemes) {
-  for (PlacementScheme S :
-       {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
-        PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
-        PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI}) {
+  for (PlacementScheme S : AllPlacementSchemes) {
     CompileResult R = compileWithRemarks(Corpus, S);
     expectReconciled(R, S);
   }
@@ -239,7 +231,7 @@ TEST(Remarks, JsonStreamParses) {
 TEST(Remarks, SameWithAndWithoutProvenance) {
   size_t Total = 0;
   for (const auto &[Name, Source] : derivationPrograms())
-    for (PlacementScheme S : AllSchemes)
+    for (PlacementScheme S : AllPlacementSchemes)
       for (CheckSource Src : {CheckSource::PRX, CheckSource::INX}) {
         std::string Cell = cellName(Name, S, Src);
         CompileResult Local = compileCell(Source, S, Src, false);
@@ -285,7 +277,7 @@ TEST(Remarks, KindTotalsEqualMappedEventTotals) {
   };
   std::map<obs::RemarkKind, size_t> Seen;
   for (const auto &[Name, Source] : derivationPrograms())
-    for (PlacementScheme S : AllSchemes)
+    for (PlacementScheme S : AllPlacementSchemes)
       for (CheckSource Src : {CheckSource::PRX, CheckSource::INX}) {
         std::string Cell = cellName(Name, S, Src);
         CompileResult R = compileCell(Source, S, Src, true);

@@ -162,16 +162,20 @@ TEST(Optimizer, AllSchemesOnAllSuitePrograms) {
 }
 
 TEST(Optimizer, SchemeNamesRoundTrip) {
-  for (PlacementScheme S :
-       {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
-        PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
-        PlacementScheme::ALL}) {
+  for (PlacementScheme S : AllPlacementSchemes) {
     PlacementScheme Parsed;
     ASSERT_TRUE(parsePlacementScheme(placementSchemeName(S), Parsed));
     EXPECT_EQ(Parsed, S);
   }
+  PlacementScheme Lower;
+  ASSERT_TRUE(parsePlacementScheme("lls", Lower));
+  EXPECT_EQ(Lower, PlacementScheme::LLS);
+  EXPECT_STREQ(placementSchemeNames(),
+               "NI, CS, LNI, SE, LI, LLS, ALL, MCM, AI");
   PlacementScheme Dummy;
   EXPECT_FALSE(parsePlacementScheme("bogus", Dummy));
+  EXPECT_FALSE(parsePlacementScheme("", Dummy));
+  EXPECT_FALSE(parsePlacementScheme("LLSX", Dummy));
 }
 
 } // namespace

@@ -28,11 +28,6 @@ using namespace nascent;
 
 namespace {
 
-const PlacementScheme AllSchemes[] = {
-    PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
-    PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
-    PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
-
 CompileResult compileWithProvenance(const SuiteProgram &P,
                                     PlacementScheme Scheme,
                                     CheckSource Source = CheckSource::PRX) {
@@ -54,7 +49,7 @@ std::string join(const std::vector<std::string> &Problems) {
 
 TEST(ProvenanceReconcile, TerminalStatesMatchOptimizerStatsForAllSchemes) {
   for (const SuiteProgram &P : benchmarkSuite()) {
-    for (PlacementScheme Scheme : AllSchemes) {
+    for (PlacementScheme Scheme : AllPlacementSchemes) {
       CompileResult R = compileWithProvenance(P, Scheme);
       if (!R.Success)
         continue;
@@ -70,7 +65,7 @@ TEST(ProvenanceReconcile, TerminalStatesMatchOptimizerStatsForAllSchemes) {
 TEST(ProvenanceReconcile, TerminalStatesMatchStatsUnderINXChecks) {
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
-  for (PlacementScheme Scheme : AllSchemes) {
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
     CompileResult R = compileWithProvenance(*P, Scheme, CheckSource::INX);
     if (!R.Success)
       continue;
@@ -87,7 +82,7 @@ TEST(ProvenanceReconcile, EliminatedChecksNeverExecute) {
   for (const char *Name : Programs) {
     const SuiteProgram *P = findSuiteProgram(Name);
     ASSERT_NE(P, nullptr) << Name;
-    for (PlacementScheme Scheme : AllSchemes) {
+    for (PlacementScheme Scheme : AllPlacementSchemes) {
       CompileResult R = compileWithProvenance(*P, Scheme);
       if (!R.Success)
         continue;
