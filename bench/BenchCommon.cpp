@@ -113,6 +113,47 @@ bool nascent::bench::parseBenchFlags(int Argc, char **Argv, BenchFlags &Out) {
   return true;
 }
 
+bool nascent::bench::translateGoogleBenchmarkFlags(
+    int Argc, char **Argv, BenchFlags &Flags, std::vector<std::string> &Args,
+    const std::vector<std::string> &TinyArgs) {
+  auto Usage = [Argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--json] [--tiny] [--reps N] [--warmup N] "
+                 "[google-benchmark flags]\n",
+                 Argv[0]);
+    return false;
+  };
+  Args.assign(1, Argv[0]);
+  for (int I = 1; I < Argc; ++I) {
+    bool IsReps = std::strcmp(Argv[I], "--reps") == 0;
+    bool IsWarmup = std::strcmp(Argv[I], "--warmup") == 0;
+    if (std::strcmp(Argv[I], "--json") == 0) {
+      Flags.Json = true;
+    } else if (std::strcmp(Argv[I], "--tiny") == 0) {
+      Flags.Tiny = true;
+      Args.push_back("--benchmark_min_time=0.01");
+      Args.insert(Args.end(), TinyArgs.begin(), TinyArgs.end());
+    } else if (IsReps || IsWarmup) {
+      if (I + 1 == Argc)
+        return Usage();
+      unsigned &Count = IsReps ? Flags.Reps : Flags.Warmup;
+      if (!parseCountFlag(Argv[++I], UINT_MAX, Count) ||
+          (IsReps && Count == 0))
+        return Usage();
+      if (IsReps) {
+        Args.push_back("--benchmark_repetitions=" + std::to_string(Count));
+        Args.push_back("--benchmark_report_aggregates_only=true");
+      } else {
+        Args.push_back("--benchmark_min_warmup_time=" +
+                       std::to_string(0.01 * Count));
+      }
+    } else {
+      Args.push_back(Argv[I]);
+    }
+  }
+  return true;
+}
+
 std::vector<SuiteProgram> nascent::bench::benchSuite(const BenchFlags &Flags) {
   const std::vector<SuiteProgram> &Full = benchmarkSuite();
   if (!Flags.Tiny)

@@ -23,6 +23,7 @@
 #include "suite/Suite.h"
 
 #include <string>
+#include <vector>
 
 namespace nascent {
 namespace bench {
@@ -78,6 +79,20 @@ struct BenchFlags {
 /// Parses argv for the common flags; returns false (after printing a
 /// usage message to stderr) on an unknown argument.
 bool parseBenchFlags(int Argc, char **Argv, BenchFlags &Out);
+
+/// The google-benchmark harnesses' command line (bench_micro,
+/// bench_optimizer_time): the common --json/--tiny/--reps/--warmup flags,
+/// parsed as strictly as parseBenchFlags, rewritten onto google-benchmark's
+/// own. --tiny caps the measured time per benchmark and appends
+/// \p TinyArgs; --reps N becomes N repetitions reporting aggregates only
+/// (benchdiff reads the medians); --warmup N becomes a minimum warmup time.
+/// --json only sets Flags.Json: the caller captures the run and wraps it in
+/// the bench envelope. Every other argument passes through. Fills \p Args
+/// (argv[0] first) for benchmark::Initialize; returns false, after printing
+/// a usage message to stderr, on a malformed or missing count.
+bool translateGoogleBenchmarkFlags(int Argc, char **Argv, BenchFlags &Flags,
+                                   std::vector<std::string> &Args,
+                                   const std::vector<std::string> &TinyArgs);
 
 /// The suite to iterate under \p Flags: the full ten programs normally,
 /// a three-program subset under --tiny.

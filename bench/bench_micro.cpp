@@ -21,7 +21,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -166,33 +165,14 @@ BENCHMARK(BM_InterpreterThroughput)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-// Same common flags as the table harnesses, rewritten onto
-// google-benchmark's own: --tiny caps the measured time per benchmark for
-// the bench-smoke CTest runs, --reps/--warmup become repetitions/warmup
-// time, and --json captures google-benchmark's JSON document and wraps it
-// in the versioned bench envelope (schemaVersion + env + config).
+// The common harness flags, translated onto google-benchmark's own by
+// BenchCommon; --json captures google-benchmark's JSON document and wraps
+// it in the versioned bench envelope (schemaVersion + env + config).
 int main(int argc, char **argv) {
   bench::BenchFlags Flags;
   std::vector<std::string> Storage;
-  Storage.push_back(argv[0]);
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--json") == 0)
-      Flags.Json = true;
-    else if (std::strcmp(argv[I], "--tiny") == 0) {
-      Flags.Tiny = true;
-      Storage.push_back("--benchmark_min_time=0.01");
-    } else if (std::strcmp(argv[I], "--reps") == 0 && I + 1 < argc) {
-      Flags.Reps = static_cast<unsigned>(std::atol(argv[++I]));
-      Storage.push_back("--benchmark_repetitions=" +
-                        std::to_string(Flags.Reps));
-      Storage.push_back("--benchmark_report_aggregates_only=true");
-    } else if (std::strcmp(argv[I], "--warmup") == 0 && I + 1 < argc) {
-      Flags.Warmup = static_cast<unsigned>(std::atol(argv[++I]));
-      Storage.push_back("--benchmark_min_warmup_time=" +
-                        std::to_string(0.01 * Flags.Warmup));
-    } else
-      Storage.push_back(argv[I]);
-  }
+  if (!bench::translateGoogleBenchmarkFlags(argc, argv, Flags, Storage, {}))
+    return 2;
   std::vector<char *> Args;
   for (std::string &S : Storage)
     Args.push_back(S.data());

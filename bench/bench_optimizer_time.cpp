@@ -20,7 +20,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,48 +30,6 @@ namespace {
 
 /// Whether --tiny was given: run a reduced suite for smoke validation.
 bool TinyRun = false;
-
-/// Rewrites the common harness flags onto google-benchmark's own: --tiny
-/// caps the measured time (and trims the suite via TinyRun), --reps N
-/// becomes --benchmark_repetitions=N (aggregates only — benchdiff reads
-/// the medians), --warmup N becomes a minimum warmup time. --json is
-/// handled by main (the run is captured and wrapped in the bench
-/// envelope). Everything else passes through.
-std::vector<char *> translateBenchArgs(int &Argc, char **Argv,
-                                       bench::BenchFlags &Flags,
-                                       std::vector<std::string> &Storage) {
-  Storage.clear();
-  Storage.push_back(Argv[0]);
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--json") == 0)
-      Flags.Json = true;
-    else if (std::strcmp(Argv[I], "--tiny") == 0) {
-      Flags.Tiny = true;
-      TinyRun = true;
-      Storage.push_back("--benchmark_min_time=0.01");
-      // A representative subset (cheapest, the paper's best, and one PRE
-      // scheme) keeps the smoke run to a few seconds.
-      Storage.push_back("--benchmark_filter=BM_Optimize/(NI|SE|LLS)/PRX");
-    } else if (std::strcmp(Argv[I], "--reps") == 0 && I + 1 < Argc) {
-      Flags.Reps = static_cast<unsigned>(std::atol(Argv[++I]));
-      Storage.push_back("--benchmark_repetitions=" +
-                        std::to_string(Flags.Reps));
-      Storage.push_back("--benchmark_report_aggregates_only=true");
-    } else if (std::strcmp(Argv[I], "--warmup") == 0 && I + 1 < Argc) {
-      Flags.Warmup = static_cast<unsigned>(std::atol(Argv[++I]));
-      Storage.push_back("--benchmark_min_warmup_time=" +
-                        std::to_string(0.01 * Flags.Warmup));
-    } else
-      Storage.push_back(Argv[I]);
-  }
-  if (Flags.Json && !Flags.Reps)
-    Flags.Reps = 1;
-  std::vector<char *> Out;
-  for (std::string &S : Storage)
-    Out.push_back(S.data());
-  Argc = static_cast<int>(Out.size());
-  return Out;
-}
 
 /// The suite under measurement (trimmed under --tiny).
 std::vector<SuiteProgram> measuredSuite() {
@@ -154,9 +111,19 @@ void registerAll() {
 int main(int argc, char **argv) {
   bench::BenchFlags Flags;
   std::vector<std::string> Storage;
-  std::vector<char *> Args = translateBenchArgs(argc, argv, Flags, Storage);
+  // Under --tiny a representative subset (cheapest, the paper's best, and
+  // one PRE scheme) on three programs keeps the smoke run to a few seconds.
+  if (!bench::translateGoogleBenchmarkFlags(
+          argc, argv, Flags, Storage,
+          {"--benchmark_filter=BM_Optimize/(NI|SE|LLS)/PRX"}))
+    return 2;
+  TinyRun = Flags.Tiny;
+  std::vector<char *> Args;
+  for (std::string &S : Storage)
+    Args.push_back(S.data());
+  int Argc = static_cast<int>(Args.size());
   registerAll();
-  benchmark::Initialize(&argc, Args.data());
+  benchmark::Initialize(&Argc, Args.data());
   if (!Flags.Json) {
     benchmark::RunSpecifiedBenchmarks();
     return 0;

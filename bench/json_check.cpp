@@ -23,6 +23,10 @@
 /// profile-smoke entries drive mfc -profile-json and profdiff --json
 /// through this path.
 ///
+/// A document whose "tool" is "sweep" is validated as a `sweep --json`
+/// report: every run names its program, scheme and mode and carries its
+/// stats, and "runCount" equals the number of runs.
+///
 /// Additionally, a document carrying a "cacheStats" member (mfc -cache
 /// -stats-json, docs/caching.md) has that block checked for shape: both
 /// tiers present with non-negative hit/miss counters, and the byte gauge
@@ -78,6 +82,44 @@ bool validateCacheStats(const obs::JsonValue &CS, std::string *Err) {
   return true;
 }
 
+/// Validates a `sweep --json` document: {"schemaVersion", "tool":"sweep",
+/// "runs":[{"program","scheme","impl","stats",...}], "runCount" equal to
+/// the number of runs, "failures", "configs":[...]}.
+bool validateSweepDocument(const obs::JsonValue &Doc, std::string *Err) {
+  auto Fail = [&](const std::string &Msg) {
+    if (Err)
+      *Err = "sweep: " + Msg;
+    return false;
+  };
+  const obs::JsonValue *Version = Doc.get("schemaVersion");
+  if (!Version || !Version->isNumber() ||
+      Version->Number != static_cast<double>(obs::BenchSchemaVersion))
+    return Fail("missing or unknown schemaVersion");
+  const obs::JsonValue *Runs = Doc.get("runs");
+  if (!Runs || !Runs->isArray() || Runs->Array.empty())
+    return Fail("'runs' is not a non-empty array");
+  for (size_t I = 0; I != Runs->Array.size(); ++I) {
+    const obs::JsonValue &Run = Runs->Array[I];
+    std::string Where = "runs[" + std::to_string(I) + "]";
+    if (!Run.isObject())
+      return Fail(Where + " is not an object");
+    for (const char *Key : {"program", "scheme", "impl"})
+      if (const obs::JsonValue *F = Run.get(Key); !F || !F->isString())
+        return Fail(Where + " missing string field '" + Key + "'");
+    if (const obs::JsonValue *F = Run.get("stats"); !F || !F->isObject())
+      return Fail(Where + " missing object field 'stats'");
+  }
+  const obs::JsonValue *Count = Doc.get("runCount");
+  if (!Count || !Count->isNumber() ||
+      Count->Number != static_cast<double>(Runs->Array.size()))
+    return Fail("'runCount' does not equal the number of runs");
+  if (const obs::JsonValue *F = Doc.get("failures"); !F || !F->isNumber())
+    return Fail("missing numeric field 'failures'");
+  if (const obs::JsonValue *F = Doc.get("configs"); !F || !F->isArray())
+    return Fail("missing array field 'configs'");
+  return true;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -118,7 +160,10 @@ int main(int argc, char **argv) {
     return 1;
   }
   bool Ok;
-  if (V.get("profileVersion"))
+  if (const obs::JsonValue *Tool = V.get("tool");
+      Tool && Tool->isString() && Tool->String == "sweep")
+    Ok = validateSweepDocument(V, &Err);
+  else if (V.get("profileVersion"))
     Ok = obs::validateProfileDocument(V, &Err);
   else if (V.get("provenance"))
     Ok = obs::validateProvenanceDocument(V, &Err);

@@ -315,7 +315,7 @@ int main(int argc, char **argv) {
 
   if (Json) {
     W.endArray();
-    W.kv("runs", static_cast<uint64_t>(Results.size()));
+    W.kv("runCount", static_cast<uint64_t>(Results.size()));
     W.kv("failures", Failures);
     W.key("configs");
     W.beginArray();

@@ -79,10 +79,11 @@ IVExpr InductionAnalysis::scale(const IVExpr &A, int64_t Factor) {
 }
 
 std::optional<int64_t> InductionAnalysis::constantValue(SSAValueID V) {
-  auto It = ConstMemo.find(V);
-  if (It != ConstMemo.end())
-    return It->second;
-  ConstMemo[V] = std::nullopt; // cycle breaker
+  if (ConstState[V] == ConstKnown)
+    return ConstValues[V];
+  if (ConstState[V] == ConstUnknown)
+    return std::nullopt;
+  ConstState[V] = ConstUnknown; // cycle breaker
 
   const SSADef &D = S.def(V);
   std::optional<int64_t> Result;
@@ -128,22 +129,27 @@ std::optional<int64_t> InductionAnalysis::constantValue(SSAValueID V) {
       break;
     }
   }
-  ConstMemo[V] = Result;
+  if (Result) {
+    ConstState[V] = ConstKnown;
+    ConstValues[V] = *Result;
+  }
   return Result;
 }
 
 IVExpr InductionAnalysis::classify(SSAValueID V, const Loop *L) {
   assert(L && "classification requires a loop");
-  auto Key = std::make_pair(V, L);
-  auto It = Memo.find(Key);
-  if (It != Memo.end())
-    return It->second;
-  if (InProgress[Key])
+  std::vector<uint32_t> &Row = MemoSlots[L->Index];
+  if (Row.empty())
+    Row.assign(S.numValues(), SlotUnvisited);
+  if (Row[V] >= SlotFirstResult)
+    return Results[Row[V] - SlotFirstResult];
+  if (Row[V] == SlotInProgress)
     return IVExpr::unknown(); // cyclic dependence outside a basic-IV shape
-  InProgress[Key] = true;
+  Row[V] = SlotInProgress;
   IVExpr E = classifyImpl(V, L);
-  InProgress[Key] = false;
-  Memo[Key] = E;
+  // Row stays valid: rows are sized once and MemoSlots never grows.
+  Row[V] = SlotFirstResult + static_cast<uint32_t>(Results.size());
+  Results.push_back(E);
   return E;
 }
 

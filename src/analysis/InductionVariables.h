@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <vector>
 
 namespace nascent {
 
@@ -59,12 +60,16 @@ struct IVExpr {
   const char *kindName() const;
 };
 
-/// Memoized induction-variable classifier over one SSA overlay.
+/// Memoized induction-variable classifier over one SSA overlay. The memo
+/// tables are dense arrays indexed by SSA value (and, for classify, by
+/// Loop::Index).
 class InductionAnalysis {
 public:
   InductionAnalysis(const SSA &S, const LoopInfo &LI,
                     const DominatorTree &DT)
-      : S(S), LI(LI), DT(DT) {}
+      : S(S), LI(LI), DT(DT), MemoSlots(LI.numLoops()),
+        ConstState(S.numValues(), ConstUnvisited),
+        ConstValues(S.numValues(), 0) {}
 
   /// Classifies SSA value \p V relative to loop \p L (which must be
   /// non-null). Results are memoized.
@@ -113,9 +118,19 @@ private:
   const LoopInfo &LI;
   const DominatorTree &DT;
 
-  std::map<std::pair<SSAValueID, const Loop *>, IVExpr> Memo;
-  std::map<std::pair<SSAValueID, const Loop *>, bool> InProgress;
-  std::map<SSAValueID, std::optional<int64_t>> ConstMemo;
+  /// Memo of classify: MemoSlots[L->Index][V] is SlotUnvisited,
+  /// SlotInProgress, or SlotFirstResult + the result's index in Results.
+  /// A loop's row is allocated when it is first asked about.
+  static constexpr uint32_t SlotUnvisited = 0;
+  static constexpr uint32_t SlotInProgress = 1;
+  static constexpr uint32_t SlotFirstResult = 2;
+  std::vector<std::vector<uint32_t>> MemoSlots;
+  std::vector<IVExpr> Results;
+
+  /// Memo of constantValue, per SSA value.
+  enum : uint8_t { ConstUnvisited, ConstUnknown, ConstKnown };
+  std::vector<uint8_t> ConstState;
+  std::vector<int64_t> ConstValues;
 };
 
 } // namespace nascent

@@ -61,6 +61,7 @@ void LoopInfo::discoverLoop(const Function &F, const DominatorTree &DT,
       Work.push_back(P);
     }
   }
+  L->Index = static_cast<unsigned>(Loops.size());
   Loops.push_back(std::move(L));
 }
 

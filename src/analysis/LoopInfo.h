@@ -39,6 +39,9 @@ struct Loop {
   /// Index into Function::doLoops() when this loop carries front-end
   /// do-loop metadata; -1 otherwise (e.g. while loops).
   int DoLoopIndex = -1;
+  /// Position in the owning LoopInfo's loop list: a dense key for side
+  /// tables indexed by loop.
+  unsigned Index = 0;
 
   bool contains(BlockID B) const;
 };
@@ -61,6 +64,7 @@ public:
     return B < BlockLoop.size() ? BlockLoop[B] : nullptr;
   }
 
+  /// Number of loops; Loop::Index ranges over [0, numLoops()).
   size_t numLoops() const { return Loops.size(); }
 
 private:

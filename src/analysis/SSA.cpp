@@ -1,44 +1,15 @@
 #include "analysis/SSA.h"
 
-#include <algorithm>
-#include <set>
+#include <cassert>
 
 using namespace nascent;
 
-void SSA::forEachSymbolUse(const Instruction &I, const SymbolTable &Syms,
-                           const std::function<void(SymbolID)> &Fn) {
-  for (const Value &V : I.Operands)
-    if (V.isSym() && !Syms.get(V.symbol()).isArray())
-      Fn(V.symbol());
-  for (const Value &V : I.Indices)
-    if (V.isSym() && !Syms.get(V.symbol()).isArray())
-      Fn(V.symbol());
-  for (const auto &[Sym, Coeff] : I.Check.expr().terms()) {
-    (void)Coeff;
-    Fn(Sym);
-  }
-  for (const CheckExpr &G : I.Guards)
-    for (const auto &[Sym, Coeff] : G.expr().terms()) {
-      (void)Coeff;
-      Fn(Sym);
-    }
-}
-
 SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
-  size_t NumBlocks = F.numBlocks();
-  BlockPhis.assign(NumBlocks, {});
-  InstUses.assign(NumBlocks, {});
-  InstDefs.assign(NumBlocks, {});
-  for (size_t B = 0; B != NumBlocks; ++B) {
-    InstUses[B].assign(F.block(static_cast<BlockID>(B))->size(), {});
-    InstDefs[B].assign(F.block(static_cast<BlockID>(B))->size(),
-                       InvalidSSAValue);
-  }
-
   // Entry values for every scalar symbol.
-  EntryValues.assign(F.symbols().size(), InvalidSSAValue);
-  for (SymbolID S = 0; S != F.symbols().size(); ++S) {
-    if (F.symbols().get(S).isArray())
+  const SymbolTable &Syms = F.symbols();
+  EntryValues.assign(Syms.size(), InvalidSSAValue);
+  for (SymbolID S = 0; S != Syms.size(); ++S) {
+    if (Syms.get(S).isArray())
       continue;
     SSADef D;
     D.K = SSADef::Kind::Entry;
@@ -47,151 +18,232 @@ SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
     Defs.push_back(D);
   }
 
-  placePhis(DT);
+  std::vector<bool> Global;
+  scanBlocks(DT, Global);
+  placePhis(DT, Global);
   rename(DT);
 }
 
-void SSA::placePhis(const DominatorTree &DT) {
-  size_t NumSyms = F.symbols().size();
+/// One pass over every instruction: numbers the instructions, lays out the
+/// use table, collects each symbol's definition blocks, and finds the
+/// names with an upward-exposed use (\p Global).
+void SSA::scanBlocks(const DominatorTree &DT, std::vector<bool> &Global) {
+  const SymbolTable &Syms = F.symbols();
+  size_t NumBlocks = F.numBlocks();
+  size_t NumSyms = Syms.size();
 
-  // Def blocks per symbol; the entry block implicitly defines everything.
-  std::vector<std::set<BlockID>> DefBlocks(NumSyms);
-  for (BlockID B : DT.rpo()) {
-    for (const Instruction &I : F.block(B)->instructions())
-      if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray())
-        DefBlocks[I.Dest].insert(B);
+  BlockInstBegin.resize(NumBlocks + 1);
+  uint32_t NumInsts = 0;
+  for (BlockID B = 0; B != NumBlocks; ++B) {
+    BlockInstBegin[B] = NumInsts;
+    NumInsts += static_cast<uint32_t>(F.block(B)->size());
   }
-  for (SymbolID S = 0; S != NumSyms; ++S) {
-    if (F.symbols().get(S).isArray())
-      continue;
-    DefBlocks[S].insert(F.entryBlock());
-  }
+  BlockInstBegin[NumBlocks] = NumInsts;
+  UseBegin.resize(NumInsts + 1);
+  InstDefs.assign(NumInsts, InvalidSSAValue);
 
-  // Iterated dominance frontier per symbol.
-  for (SymbolID S = 0; S != NumSyms; ++S) {
-    if (F.symbols().get(S).isArray())
+  Global.assign(NumSyms, false);
+  // LocalDef[S] == B + 1 once S has been written earlier in block B.
+  std::vector<uint32_t> LocalDef(NumSyms, 0);
+  // (symbol, block) per first write of a symbol in a reachable block, in
+  // ascending block order; counting-sorted by symbol below.
+  std::vector<std::pair<SymbolID, BlockID>> DefSites;
+  DefBlockBegin.assign(NumSyms + 1, 0);
+  for (BlockID B = 0; B != NumBlocks; ++B) {
+    uint32_t Stamp = B + 1;
+    bool Reachable = DT.isReachable(B);
+    uint32_t G = BlockInstBegin[B];
+    for (const Instruction &I : F.block(B)->instructions()) {
+      UseBegin[G++] = static_cast<uint32_t>(UseSyms.size());
+      forEachSymbolUse(I, Syms, [&](SymbolID S) {
+        UseSyms.push_back(S);
+        if (LocalDef[S] != Stamp)
+          Global[S] = true;
+      });
+      if (I.Dest == InvalidSymbol || Syms.get(I.Dest).isArray() ||
+          LocalDef[I.Dest] == Stamp)
+        continue;
+      LocalDef[I.Dest] = Stamp;
+      if (Reachable) {
+        DefSites.push_back({I.Dest, B});
+        ++DefBlockBegin[I.Dest + 1];
+      }
+    }
+  }
+  UseBegin[NumInsts] = static_cast<uint32_t>(UseSyms.size());
+  UseVals.assign(UseSyms.size(), InvalidSSAValue);
+
+  for (size_t S = 0; S != NumSyms; ++S)
+    DefBlockBegin[S + 1] += DefBlockBegin[S];
+  DefBlockList.resize(DefSites.size());
+  std::vector<uint32_t> Cursor(DefBlockBegin.begin(), DefBlockBegin.end() - 1);
+  for (const auto &[S, B] : DefSites)
+    DefBlockList[Cursor[S]++] = B;
+}
+
+void SSA::placePhis(const DominatorTree &DT, const std::vector<bool> &Global) {
+  const SymbolTable &Syms = F.symbols();
+  size_t NumBlocks = F.numBlocks();
+  BlockID Entry = F.entryBlock();
+
+  // Per-block stamps (symbol + 1): block defines the symbol / has its phi.
+  std::vector<uint32_t> InDefSet(NumBlocks, 0);
+  std::vector<uint32_t> HasPhi(NumBlocks, 0);
+  std::vector<BlockID> Work;
+  // Counts phis per block first (PhiBegin[B + 1]); the running count is
+  // each new phi's index within its block.
+  PhiBegin.assign(NumBlocks + 1, 0);
+  SSAValueID FirstPhi = static_cast<SSAValueID>(Defs.size());
+
+  // Iterated dominance frontier per upward-exposed symbol, seeded with its
+  // definition blocks and the entry (which implicitly defines everything)
+  // in ascending order.
+  for (SymbolID S = 0; S != Syms.size(); ++S) {
+    if (Syms.get(S).isArray() || !Global[S])
       continue;
-    std::vector<BlockID> Work(DefBlocks[S].begin(), DefBlocks[S].end());
-    std::set<BlockID> HasPhi;
+    uint32_t Stamp = S + 1;
+    Work.clear();
+    bool EntryListed = false;
+    for (BlockID B : defBlocks(S)) {
+      if (!EntryListed && Entry <= B) {
+        EntryListed = true;
+        if (Entry < B)
+          Work.push_back(Entry);
+      }
+      Work.push_back(B);
+    }
+    if (!EntryListed)
+      Work.push_back(Entry);
+    for (BlockID B : Work)
+      InDefSet[B] = Stamp;
+
     while (!Work.empty()) {
       BlockID B = Work.back();
       Work.pop_back();
       for (BlockID FB : DT.frontier(B)) {
-        if (HasPhi.count(FB))
+        if (HasPhi[FB] == Stamp)
           continue;
-        HasPhi.insert(FB);
-        SSAPhi P;
-        P.Sym = S;
-        P.Incoming.assign(F.block(FB)->preds().size(), InvalidSSAValue);
+        HasPhi[FB] = Stamp;
         SSADef D;
         D.K = SSADef::Kind::Phi;
         D.Sym = S;
         D.Block = FB;
-        D.InstIdx = static_cast<uint32_t>(BlockPhis[FB].size());
-        P.Result = static_cast<SSAValueID>(Defs.size());
+        D.InstIdx = PhiBegin[FB + 1]++;
         Defs.push_back(D);
-        BlockPhis[FB].push_back(std::move(P));
-        if (!DefBlocks[S].count(FB))
+        if (InDefSet[FB] != Stamp)
           Work.push_back(FB);
       }
+    }
+  }
+
+  // Bucket the phis by block, keeping creation order within a block, and
+  // give each its predecessor-aligned slice of incoming values.
+  for (size_t B = 0; B != NumBlocks; ++B)
+    PhiBegin[B + 1] += PhiBegin[B];
+  Phis.resize(Defs.size() - FirstPhi);
+  size_t NumIncoming = 0;
+  for (SSAValueID V = FirstPhi; V != Defs.size(); ++V)
+    NumIncoming += F.block(Defs[V].Block)->preds().size();
+  PhiIncoming.assign(NumIncoming, InvalidSSAValue);
+  for (SSAValueID V = FirstPhi; V != Defs.size(); ++V) {
+    SSAPhi &P = Phis[PhiBegin[Defs[V].Block] + Defs[V].InstIdx];
+    P.Sym = Defs[V].Sym;
+    P.Result = V;
+  }
+  size_t Next = 0;
+  for (BlockID B = 0; B != NumBlocks; ++B) {
+    size_t NumPreds = F.block(B)->preds().size();
+    for (uint32_t K = PhiBegin[B]; K != PhiBegin[B + 1]; ++K) {
+      Phis[K].Incoming = {PhiIncoming.data() + Next, NumPreds};
+      Next += NumPreds;
     }
   }
 }
 
 void SSA::rename(const DominatorTree &DT) {
-  size_t NumSyms = F.symbols().size();
-  std::vector<std::vector<SSAValueID>> Stacks(NumSyms);
-  for (SymbolID S = 0; S != NumSyms; ++S)
-    if (EntryValues[S] != InvalidSSAValue)
-      Stacks[S].push_back(EntryValues[S]);
-
-  // Pre-compute, for each block, the index of each predecessor so phi
-  // operands can be filled from the predecessor side.
-  auto PredIndex = [&](BlockID Succ, BlockID Pred) -> int {
-    const auto &Preds = F.block(Succ)->preds();
-    for (size_t K = 0; K != Preds.size(); ++K)
-      if (Preds[K] == Pred)
-        return static_cast<int>(K);
-    return -1;
+  const SymbolTable &Syms = F.symbols();
+  // The reaching definition of each symbol at the current point of the
+  // dominator-tree walk, and an undo log of (symbol, replaced value) that
+  // restores it on the way back up.
+  std::vector<SSAValueID> Current(EntryValues);
+  std::vector<std::pair<SymbolID, SSAValueID>> Undo;
+  auto Define = [&](SymbolID S, SSAValueID V) {
+    Undo.push_back({S, Current[S]});
+    Current[S] = V;
   };
 
-  // Iterative DFS over the dominator tree with explicit "undo" frames.
   struct Frame {
     BlockID B;
-    size_t NextChild = 0;
-    std::vector<SymbolID> Pushed; ///< symbols to pop when leaving
-    bool Entered = false;
+    uint32_t NextChild;
+    size_t UndoMark;
   };
   std::vector<Frame> Stack;
-  Stack.push_back({F.entryBlock(), 0, {}, false});
 
+  auto Enter = [&](BlockID B) {
+    Stack.push_back({B, 0, Undo.size()});
+    // Phi results become current definitions.
+    for (const SSAPhi &P : phisIn(B))
+      Define(P.Sym, P.Result);
+    // Instructions: record uses at the pre-def point, then define.
+    const auto &Insts = F.block(B)->instructions();
+    for (size_t Idx = 0; Idx != Insts.size(); ++Idx) {
+      const Instruction &I = Insts[Idx];
+      size_t G = instNumber(B, Idx);
+      for (uint32_t K = UseBegin[G]; K != UseBegin[G + 1]; ++K) {
+        assert(Current[UseSyms[K]] != InvalidSSAValue &&
+               "symbol has no reaching definition");
+        UseVals[K] = Current[UseSyms[K]];
+      }
+      if (I.Dest != InvalidSymbol && !Syms.get(I.Dest).isArray()) {
+        SSADef D;
+        D.K = SSADef::Kind::Inst;
+        D.Sym = I.Dest;
+        D.Block = B;
+        D.InstIdx = static_cast<uint32_t>(Idx);
+        SSAValueID V = static_cast<SSAValueID>(Defs.size());
+        Defs.push_back(D);
+        InstDefs[G] = V;
+        Define(I.Dest, V);
+      }
+    }
+    // Fill phi operands of CFG successors.
+    for (BlockID S : F.block(B)->successors()) {
+      const auto &Preds = F.block(S)->preds();
+      size_t PI = 0;
+      while (PI != Preds.size() && Preds[PI] != B)
+        ++PI;
+      if (PI == Preds.size())
+        continue;
+      for (const SSAPhi &P : phisIn(S)) {
+        assert(Current[P.Sym] != InvalidSSAValue &&
+               "phi operand has no definition");
+        PhiIncoming[static_cast<size_t>(P.Incoming.data() -
+                                        PhiIncoming.data()) +
+                    PI] = Current[P.Sym];
+      }
+    }
+  };
+
+  Enter(F.entryBlock());
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
-    BlockID B = Top.B;
-
-    if (!Top.Entered) {
-      Top.Entered = true;
-      // Phi results become current definitions.
-      for (SSAPhi &P : BlockPhis[B]) {
-        Stacks[P.Sym].push_back(P.Result);
-        Top.Pushed.push_back(P.Sym);
-      }
-      // Instructions: record uses at the pre-def point, then push defs.
-      auto &BBInsts = F.block(B)->instructions();
-      for (size_t Idx = 0; Idx != BBInsts.size(); ++Idx) {
-        const Instruction &I = BBInsts[Idx];
-        auto &Uses = InstUses[B][Idx];
-        forEachSymbolUse(I, F.symbols(), [&](SymbolID S) {
-          assert(!Stacks[S].empty() && "symbol has no reaching definition");
-          Uses.push_back(Stacks[S].back());
-        });
-        if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray()) {
-          SSADef D;
-          D.K = SSADef::Kind::Inst;
-          D.Sym = I.Dest;
-          D.Block = B;
-          D.InstIdx = static_cast<uint32_t>(Idx);
-          SSAValueID V = static_cast<SSAValueID>(Defs.size());
-          Defs.push_back(D);
-          InstDefs[B][Idx] = V;
-          Stacks[I.Dest].push_back(V);
-          Top.Pushed.push_back(I.Dest);
-        }
-      }
-      // Fill phi operands of CFG successors.
-      for (BlockID S : F.block(B)->successors()) {
-        int PI = PredIndex(S, B);
-        if (PI < 0)
-          continue;
-        for (SSAPhi &P : BlockPhis[S]) {
-          assert(!Stacks[P.Sym].empty() && "phi operand has no definition");
-          P.Incoming[static_cast<size_t>(PI)] = Stacks[P.Sym].back();
-        }
-      }
-    }
-
-    if (Top.NextChild < DT.children(B).size()) {
-      BlockID Child = DT.children(B)[Top.NextChild++];
-      Stack.push_back({Child, 0, {}, false});
+    const std::vector<BlockID> &Children = DT.children(Top.B);
+    if (Top.NextChild < Children.size()) {
+      Enter(Children[Top.NextChild++]);
       continue;
     }
-
-    // Leaving: pop this block's definitions.
-    for (auto It = Top.Pushed.rbegin(); It != Top.Pushed.rend(); ++It)
-      Stacks[*It].pop_back();
+    // Leaving: restore the definitions this block made.
+    for (size_t K = Undo.size(); K != Top.UndoMark; --K)
+      Current[Undo[K - 1].first] = Undo[K - 1].second;
+    Undo.resize(Top.UndoMark);
     Stack.pop_back();
   }
 }
 
 SSAValueID SSA::useOfSymbol(BlockID B, size_t InstIdx, SymbolID Sym) const {
-  const Instruction &I = F.block(B)->instructions()[InstIdx];
-  const auto &Uses = InstUses[B][InstIdx];
-  size_t K = 0;
-  SSAValueID Found = InvalidSSAValue;
-  forEachSymbolUse(I, F.symbols(), [&](SymbolID S) {
-    if (S == Sym && Found == InvalidSSAValue)
-      Found = Uses[K];
-    ++K;
-  });
-  return Found;
+  size_t G = instNumber(B, InstIdx);
+  for (uint32_t K = UseBegin[G]; K != UseBegin[G + 1]; ++K)
+    if (UseSyms[K] == Sym)
+      return UseVals[K];
+  return InvalidSSAValue;
 }

@@ -1,12 +1,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// SSA construction (Cytron et al.) as a side-table overlay: the IR itself
-/// stays in non-SSA three-address form (the check data-flow problems of
-/// the paper operate on that form), while induction-variable analysis
-/// reads this overlay to reason about value flow. Each scalar symbol use
-/// in each instruction is resolved to an SSA value; phi nodes live in
-/// per-block side lists.
+/// Semi-pruned SSA construction (Cytron et al. placement, restricted as in
+/// Briggs et al. to names with an upward-exposed use) as a side-table
+/// overlay: the IR itself stays in non-SSA three-address form (the check
+/// data-flow problems of the paper operate on that form), while
+/// induction-variable analysis reads this overlay to reason about value
+/// flow. Each scalar symbol use in each instruction is resolved to an SSA
+/// value; phi nodes live in per-block side lists.
+///
+/// A name whose every use follows a definition in the same block (a
+/// block-local temporary) gets no phi: no use could read one. Every other
+/// name gets the phis of minimal SSA.
+///
+/// All tables are flat arrays indexed by value, by symbol, or by a
+/// function-wide instruction number; construction allocates a fixed number
+/// of them regardless of the function's size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +25,7 @@
 #include "analysis/Dominators.h"
 #include "ir/Function.h"
 
-#include <functional>
+#include <span>
 #include <vector>
 
 namespace nascent {
@@ -41,8 +50,9 @@ struct SSADef {
 struct SSAPhi {
   SymbolID Sym = InvalidSymbol;
   SSAValueID Result = InvalidSSAValue;
-  /// Incoming values aligned with the block's predecessor list.
-  std::vector<SSAValueID> Incoming;
+  /// Incoming values aligned with the block's predecessor list (a view
+  /// into the owning SSA's storage).
+  std::span<const SSAValueID> Incoming;
 };
 
 /// The SSA overlay for one function. Construction requires current
@@ -51,33 +61,59 @@ struct SSAPhi {
 class SSA {
 public:
   SSA(const Function &F, const DominatorTree &DT);
+  SSA(const SSA &) = delete; ///< phis view the overlay's own storage
+  SSA &operator=(const SSA &) = delete;
 
   /// SSA values of the scalar-symbol uses of instruction (B, InstIdx), in
   /// the canonical order produced by forEachSymbolUse.
-  const std::vector<SSAValueID> &usesOf(BlockID B, size_t InstIdx) const {
-    return InstUses[B][InstIdx];
+  std::span<const SSAValueID> usesOf(BlockID B, size_t InstIdx) const {
+    size_t G = instNumber(B, InstIdx);
+    return {UseVals.data() + UseBegin[G], UseBegin[G + 1] - UseBegin[G]};
   }
 
   /// The SSA value defined by instruction (B, InstIdx); InvalidSSAValue
   /// when the instruction has no scalar destination.
   SSAValueID defOf(BlockID B, size_t InstIdx) const {
-    return InstDefs[B][InstIdx];
+    return InstDefs[instNumber(B, InstIdx)];
   }
 
   const SSADef &def(SSAValueID V) const { return Defs[V]; }
 
-  const std::vector<SSAPhi> &phisIn(BlockID B) const { return BlockPhis[B]; }
+  std::span<const SSAPhi> phisIn(BlockID B) const {
+    return {Phis.data() + PhiBegin[B], PhiBegin[B + 1] - PhiBegin[B]};
+  }
 
   size_t numValues() const { return Defs.size(); }
 
   /// The function the overlay was built for.
   const Function &function() const { return F; }
 
+  /// Reachable blocks holding an instruction that writes \p Sym, in
+  /// ascending order. The entry block's implicit definition of every
+  /// symbol is not listed.
+  std::span<const BlockID> defBlocks(SymbolID Sym) const {
+    return {DefBlockList.data() + DefBlockBegin[Sym],
+            DefBlockBegin[Sym + 1] - DefBlockBegin[Sym]};
+  }
+
   /// Enumerates the scalar-symbol uses of \p I in the canonical order:
   /// operands, then subscripts, then check-expression terms, then guard
   /// terms. Array symbols (e.g. whole-array call arguments) are skipped.
+  template <typename Fn>
   static void forEachSymbolUse(const Instruction &I, const SymbolTable &Syms,
-                               const std::function<void(SymbolID)> &Fn);
+                               Fn &&Visit) {
+    for (const Value &V : I.Operands)
+      if (V.isSym() && !Syms.get(V.symbol()).isArray())
+        Visit(V.symbol());
+    for (const Value &V : I.Indices)
+      if (V.isSym() && !Syms.get(V.symbol()).isArray())
+        Visit(V.symbol());
+    for (const auto &Term : I.Check.expr().terms())
+      Visit(Term.first);
+    for (const CheckExpr &G : I.Guards)
+      for (const auto &Term : G.expr().terms())
+        Visit(Term.first);
+  }
 
   /// Resolves the SSA value of symbol \p Sym at the *use position* of
   /// instruction (B, InstIdx). Returns InvalidSSAValue when \p Sym is not
@@ -85,14 +121,37 @@ public:
   SSAValueID useOfSymbol(BlockID B, size_t InstIdx, SymbolID Sym) const;
 
 private:
-  void placePhis(const DominatorTree &DT);
+  size_t instNumber(BlockID B, size_t InstIdx) const {
+    return BlockInstBegin[B] + InstIdx;
+  }
+
+  void scanBlocks(const DominatorTree &DT, std::vector<bool> &Global);
+  void placePhis(const DominatorTree &DT, const std::vector<bool> &Global);
   void rename(const DominatorTree &DT);
 
   const Function &F;
   std::vector<SSADef> Defs;
-  std::vector<std::vector<SSAPhi>> BlockPhis;
-  std::vector<std::vector<std::vector<SSAValueID>>> InstUses;
-  std::vector<std::vector<SSAValueID>> InstDefs;
+
+  /// Function-wide instruction numbering: block B's instructions are
+  /// BlockInstBegin[B] .. BlockInstBegin[B + 1).
+  std::vector<uint32_t> BlockInstBegin;
+  /// Uses of instruction G are UseVals/UseSyms[UseBegin[G] .. UseBegin[G+1]).
+  std::vector<uint32_t> UseBegin;
+  std::vector<SSAValueID> UseVals;
+  std::vector<SymbolID> UseSyms;
+  std::vector<SSAValueID> InstDefs; ///< per instruction number
+
+  /// Explicit definition blocks of symbol S:
+  /// DefBlockList[DefBlockBegin[S] .. DefBlockBegin[S + 1]).
+  std::vector<uint32_t> DefBlockBegin;
+  std::vector<BlockID> DefBlockList;
+
+  /// Phis of block B: Phis[PhiBegin[B] .. PhiBegin[B + 1]); their incoming
+  /// values live in PhiIncoming.
+  std::vector<uint32_t> PhiBegin;
+  std::vector<SSAPhi> Phis;
+  std::vector<SSAValueID> PhiIncoming;
+
   std::vector<SSAValueID> EntryValues; ///< per-symbol entry value
 };
 

@@ -3,6 +3,7 @@
 #include "support/StringUtils.h"
 
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -95,13 +96,21 @@ public:
     return T == ScalarType::Real ? "double" : "long long";
   }
 
+  /// A C literal of type long long for \p V. INT64_MIN has no literal
+  /// (9223372036854775808 does not fit), so it is spelled as an expression.
+  static std::string intLiteral(int64_t V) {
+    if (V == INT64_MIN)
+      return "(-9223372036854775807LL - 1)";
+    return std::to_string(V) + "LL";
+  }
+
   std::string operand(const Value &V) const {
     switch (V.kind()) {
     case Value::Kind::Sym:
       return symName(V.symbol());
     case Value::Kind::IntConst:
     case Value::Kind::BoolConst:
-      return std::to_string(V.intValue()) + "LL";
+      return intLiteral(V.intValue());
     case Value::Kind::RealConst:
       return formatString("%.17g", V.realValue());
     case Value::Kind::None:
@@ -129,16 +138,18 @@ public:
     return Out.empty() ? "0" : Out;
   }
 
+  /// The check's linear form, summed with the wrapping helpers exactly as
+  /// the interpreter evaluates it.
   std::string checkCond(const CheckExpr &C) const {
     std::string E;
     for (const auto &[Sym, Coeff] : C.expr().terms()) {
-      if (!E.empty())
-        E += " + ";
-      E += std::to_string(Coeff) + "LL * " + symName(Sym);
+      std::string Term =
+          "nck_mul(" + intLiteral(Coeff) + ", " + symName(Sym) + ")";
+      E = E.empty() ? Term : "nck_add(" + E + ", " + Term + ")";
     }
     if (E.empty())
       E = "0LL";
-    return "(" + E + ") <= " + std::to_string(C.bound()) + "LL";
+    return E + " <= " + intLiteral(C.bound());
   }
 
   std::string signature() const {
@@ -207,11 +218,11 @@ private:
     bool Real = F.symbols().get(I.Dest).Type == ScalarType::Real;
     switch (I.Op) {
     case Opcode::Add:
-      return A + " + " + B;
+      return Real ? A + " + " + B : "nck_add(" + A + ", " + B + ")";
     case Opcode::Sub:
-      return A + " - " + B;
+      return Real ? A + " - " + B : "nck_sub(" + A + ", " + B + ")";
     case Opcode::Mul:
-      return A + " * " + B;
+      return Real ? A + " * " + B : "nck_mul(" + A + ", " + B + ")";
     case Opcode::Div:
       if (Real)
         return "(" + B + " == 0.0 ? 0.0 : " + A + " / " + B + ")";
@@ -307,12 +318,19 @@ private:
       Line(symName(I.Dest) + " = " + binaryExpr(I) + ";");
       break;
     case Opcode::Neg:
-      Line(symName(I.Dest) + " = -" + operand(I.Operands[0]) + ";");
+      if (F.symbols().get(I.Dest).Type == ScalarType::Real)
+        Line(symName(I.Dest) + " = -" + operand(I.Operands[0]) + ";");
+      else
+        Line(symName(I.Dest) + " = nck_neg(" + operand(I.Operands[0]) +
+             ");");
       break;
     case Opcode::Abs: {
       std::string A = operand(I.Operands[0]);
-      Line(symName(I.Dest) + " = (" + A + " < 0 ? -" + A + " : " + A +
-           ");");
+      if (F.symbols().get(I.Dest).Type == ScalarType::Real)
+        Line(symName(I.Dest) + " = (" + A + " < 0 ? -" + A + " : " + A +
+             ");");
+      else
+        Line(symName(I.Dest) + " = nck_abs(" + A + ");");
       break;
     }
     case Opcode::CmpEQ:
@@ -520,12 +538,30 @@ std::string nascent::emitModuleToC(const Module &M,
          "  fprintf(stderr, \"[nascent-trap] range check failed: %s\\n\", "
          "What);\n"
          "  nck_report();\n  exit(2);\n}\n\n";
+  // Integer arithmetic wraps (64-bit two's complement, as the interpreter
+  // computes it: support/Wrapping.h); done on unsigned long long, where C
+  // defines wrap-around, it is never undefined behaviour.
+  Out += "static long long nck_add(long long A, long long B) {\n"
+         "  return (long long)((unsigned long long)A + (unsigned long long)B);"
+         "\n}\n\n";
+  Out += "static long long nck_sub(long long A, long long B) {\n"
+         "  return (long long)((unsigned long long)A - (unsigned long long)B);"
+         "\n}\n\n";
+  Out += "static long long nck_mul(long long A, long long B) {\n"
+         "  return (long long)((unsigned long long)A * (unsigned long long)B);"
+         "\n}\n\n";
+  Out += "static long long nck_neg(long long A) {\n"
+         "  return (long long)(0ULL - (unsigned long long)A);\n}\n\n";
+  Out += "static long long nck_abs(long long A) {\n"
+         "  return A < 0 ? nck_neg(A) : A;\n}\n\n";
   Out += "static long long nck_idiv(long long A, long long B) {\n"
          "  if (B == 0) { fprintf(stderr, \"[nascent-trap] division by "
-         "zero\\n\"); exit(3); }\n  return A / B;\n}\n\n";
+         "zero\\n\"); exit(3); }\n"
+         "  return B == -1 ? nck_neg(A) : A / B;\n}\n\n";
   Out += "static long long nck_imod(long long A, long long B) {\n"
          "  if (B == 0) { fprintf(stderr, \"[nascent-trap] mod by "
-         "zero\\n\"); exit(3); }\n  return A % B;\n}\n\n";
+         "zero\\n\"); exit(3); }\n"
+         "  return B == -1 ? 0 : A % B;\n}\n\n";
 
   // Prototypes first (callees may appear in any order).
   for (const Function *F : M.functions()) {

@@ -7,7 +7,6 @@
 #include "obs/StatRegistry.h"
 
 #include <map>
-#include <set>
 
 using namespace nascent;
 
@@ -70,17 +69,15 @@ INXStats nascent::synthesizeINXChecks(Function &F,
   SSA S(F, DT);
   InductionAnalysis IV(S, LI, DT);
 
-  // Per-loop sets of symbols defined inside the loop, to decide whether a
+  // Whether a symbol is written inside a loop decides whether a
   // region-constant SSA value can be named by its symbol directly or needs
-  // a loop-entry snapshot.
-  std::map<const Loop *, std::set<SymbolID>> DefinedIn;
-  for (const Loop *L : LI.loopsInnermostFirst()) {
-    auto &Defs = DefinedIn[L];
-    for (BlockID B : L->Blocks)
-      for (const Instruction &I : F.block(B)->instructions())
-        if (I.Dest != InvalidSymbol)
-          Defs.insert(I.Dest);
-  }
+  // a loop-entry snapshot. SSA lists each symbol's definition blocks.
+  auto DefinedIn = [&](SymbolID Sym, const Loop *L) {
+    for (BlockID B : S.defBlocks(Sym))
+      if (L->contains(B))
+        return true;
+    return false;
+  };
 
   std::vector<CheckRewrite> Rewrites;
   std::vector<Snapshot> Snapshots;
@@ -91,7 +88,7 @@ INXStats nascent::synthesizeINXChecks(Function &F,
     const SSADef &D = S.def(V);
     if (D.Sym == InvalidSymbol)
       return false;
-    if (!DefinedIn[L].count(D.Sym)) {
+    if (!DefinedIn(D.Sym, L)) {
       // The symbol is never written inside the loop: its value anywhere in
       // the loop equals the region-constant value; use it directly.
       OutSym = D.Sym;

@@ -1,6 +1,7 @@
 #include "frontend/Lowering.h"
 
 #include "ir/IRBuilder.h"
+#include "support/Wrapping.h"
 
 #include <map>
 #include <set>
@@ -261,8 +262,9 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
     switch (U.Op) {
     case UnaryOp::Neg:
       if (Sub.V.isIntConst()) {
-        Out.V = Value::intConst(-Sub.V.intValue());
-        Out.Lin = LinearExpr::constant(-Sub.V.intValue());
+        int64_t N = wrapNeg(Sub.V.intValue());
+        Out.V = Value::intConst(N);
+        Out.Lin = LinearExpr::constant(N);
         return Out;
       }
       if (Sub.V.isRealConst()) {
@@ -316,19 +318,20 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
                                             : PromTy);
 
     // Constant folding for integer arithmetic keeps the naive code from
-    // being absurd and keeps linear forms tight.
+    // being absurd and keeps linear forms tight. It wraps exactly as the
+    // program would at run time.
     auto FoldInt = [&](int64_t A, int64_t C) -> std::optional<int64_t> {
       switch (Bi.Op) {
       case BinaryOp::Add:
-        return A + C;
+        return wrapAdd(A, C);
       case BinaryOp::Sub:
-        return A - C;
+        return wrapSub(A, C);
       case BinaryOp::Mul:
-        return A * C;
+        return wrapMul(A, C);
       case BinaryOp::Div:
-        return C == 0 ? std::nullopt : std::optional<int64_t>(A / C);
+        return C == 0 ? std::nullopt : std::optional<int64_t>(wrapDiv(A, C));
       case BinaryOp::Mod:
-        return C == 0 ? std::nullopt : std::optional<int64_t>(A % C);
+        return C == 0 ? std::nullopt : std::optional<int64_t>(wrapMod(A, C));
       case BinaryOp::Min:
         return std::min(A, C);
       case BinaryOp::Max:

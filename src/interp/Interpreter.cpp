@@ -7,6 +7,7 @@
 #include "obs/Profile.h"
 #include "obs/StatRegistry.h"
 #include "support/StringUtils.h"
+#include "support/Wrapping.h"
 
 #include <algorithm>
 #include <cmath>
@@ -715,7 +716,7 @@ private:
                     const CheckRecord &C) {
     int64_t V = 0;
     for (uint32_t T = C.TermBegin; T != C.TermEnd; ++T)
-      V += DF.Terms[T].second * S[DF.Terms[T].first].I;
+      V = wrapAdd(V, wrapMul(DF.Terms[T].second, S[DF.Terms[T].first].I));
     return V <= C.Bound;
   }
 
@@ -938,7 +939,7 @@ Executor::Stop Executor::exec(DecodedFunction &DF, Frame &Fr, const Op *&At,
     if constexpr (Observed)                                                    \
       if (Opts.CountCheckSites)                                                \
         obs::saturatingInc(DF.SiteHits[(K) - Code]);                           \
-    bool Traps = !((K)->Coeff * S[(K)->A].I <= (K)->Bound);                    \
+    bool Traps = !(wrapMul((K)->Coeff, S[(K)->A].I) <= (K)->Bound);            \
     if constexpr (Observed)                                                    \
       if (P)                                                                   \
         P->noteCheck(PFn, (K)->Block, (K)->Index, Traps);                      \
@@ -962,23 +963,23 @@ Executor::Stop Executor::exec(DecodedFunction &DF, Frame &Fr, const Op *&At,
 
   DISPATCH();
 
-  COMPUTE(AddI, I, S[O->A].I + S[O->B].I)
-  COMPUTE(SubI, I, S[O->A].I - S[O->B].I)
-  COMPUTE(MulI, I, S[O->A].I * S[O->B].I)
+  COMPUTE(AddI, I, wrapAdd(S[O->A].I, S[O->B].I))
+  COMPUTE(SubI, I, wrapSub(S[O->A].I, S[O->B].I))
+  COMPUTE(MulI, I, wrapMul(S[O->A].I, S[O->B].I))
 DoDivI:
   if (S[O->B].I == 0)
     STOP(Fault);
-  S[O->D].I = S[O->A].I / S[O->B].I;
+  S[O->D].I = wrapDiv(S[O->A].I, S[O->B].I);
   NEXT(1);
 DoModI:
   if (S[O->B].I == 0)
     STOP(Fault);
-  S[O->D].I = S[O->A].I % S[O->B].I;
+  S[O->D].I = wrapMod(S[O->A].I, S[O->B].I);
   NEXT(1);
   COMPUTE(MinI, I, std::min(S[O->A].I, S[O->B].I))
   COMPUTE(MaxI, I, std::max(S[O->A].I, S[O->B].I))
-  COMPUTE(NegI, I, -S[O->A].I)
-  COMPUTE(AbsI, I, S[O->A].I < 0 ? -S[O->A].I : S[O->A].I)
+  COMPUTE(NegI, I, wrapNeg(S[O->A].I))
+  COMPUTE(AbsI, I, wrapAbs(S[O->A].I))
   COMPUTE(AddR, R, S[O->A].R + S[O->B].R)
   COMPUTE(SubR, R, S[O->A].R - S[O->B].R)
   COMPUTE(MulR, R, S[O->A].R * S[O->B].R)
@@ -1117,7 +1118,7 @@ DoCheck1Pair:
   CHECK1(O + 1);
   NEXT(2);
 DoAddIJump:
-  S[O->D].I = S[O->A].I + S[O->B].I;
+  S[O->D].I = wrapAdd(S[O->A].I, S[O->B].I);
   SECOND_HALF();
   O = Code + O[1].D;
   ENTER_BLOCK();

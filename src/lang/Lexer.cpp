@@ -1,8 +1,10 @@
 #include "lang/Lexer.h"
 
-#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
-#include <unordered_map>
+#include <cstring>
+#include <string>
 
 using namespace nascent;
 
@@ -94,192 +96,246 @@ const char *nascent::tokenKindName(TokenKind K) {
   return "?";
 }
 
-Lexer::Lexer(std::string Source) : Src(std::move(Source)) {}
+namespace {
 
-char Lexer::advance() {
-  char C = Src[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Column = 1;
-  } else {
-    ++Column;
-  }
-  return C;
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+/// ASCII letters only; setting bit 5 folds upper case onto lower case and
+/// maps no other byte into 'a'..'z'.
+bool isLetter(char C) {
+  char L = static_cast<char>(C | 0x20);
+  return L >= 'a' && L <= 'z';
 }
 
+bool isIdentifierChar(char C) { return isLetter(C) || isDigit(C) || C == '_'; }
+
+/// True when the \p N bytes at \p S spell the lower-case keyword \p Kw in
+/// any case. Digits and '_' keep or gain bit 5 and so never match a letter.
+bool spells(const char *S, const char *Kw, size_t N) {
+  for (size_t K = 0; K != N; ++K)
+    if (static_cast<char>(S[K] | 0x20) != Kw[K])
+      return false;
+  return true;
+}
+
+/// The keyword spelled by the identifier-shaped run [S, S+N), or
+/// Identifier when it is none.
+TokenKind classifyWord(const char *S, size_t N) {
+  struct Keyword {
+    const char *Spelling;
+    TokenKind Kind;
+  };
+  static constexpr Keyword Len2[] = {{"if", TokenKind::KwIf},
+                                     {"do", TokenKind::KwDo},
+                                     {"or", TokenKind::KwOr}};
+  static constexpr Keyword Len3[] = {{"end", TokenKind::KwEnd},
+                                     {"and", TokenKind::KwAnd},
+                                     {"not", TokenKind::KwNot}};
+  static constexpr Keyword Len4[] = {{"real", TokenKind::KwReal},
+                                     {"then", TokenKind::KwThen},
+                                     {"else", TokenKind::KwElse},
+                                     {"call", TokenKind::KwCall},
+                                     {"true", TokenKind::KwTrue}};
+  static constexpr Keyword Len5[] = {{"while", TokenKind::KwWhile},
+                                     {"print", TokenKind::KwPrint},
+                                     {"false", TokenKind::KwFalse}};
+  static constexpr Keyword Len6[] = {{"elseif", TokenKind::KwElseif},
+                                     {"return", TokenKind::KwReturn}};
+  static constexpr Keyword Len7[] = {{"program", TokenKind::KwProgram},
+                                     {"integer", TokenKind::KwInteger},
+                                     {"logical", TokenKind::KwLogical}};
+  static constexpr Keyword Len8[] = {{"function", TokenKind::KwFunction}};
+  static constexpr Keyword Len10[] = {{"subroutine", TokenKind::KwSubroutine}};
+
+  auto Match = [&](const auto &Table) {
+    for (const Keyword &K : Table)
+      if (spells(S, K.Spelling, N))
+        return K.Kind;
+    return TokenKind::Identifier;
+  };
+  switch (N) {
+  case 2:
+    return Match(Len2);
+  case 3:
+    return Match(Len3);
+  case 4:
+    return Match(Len4);
+  case 5:
+    return Match(Len5);
+  case 6:
+    return Match(Len6);
+  case 7:
+    return Match(Len7);
+  case 8:
+    return Match(Len8);
+  case 10:
+    return Match(Len10);
+  default:
+    return TokenKind::Identifier;
+  }
+}
+
+} // namespace
+
+std::string nascent::foldIdentifier(std::string_view Spelling) {
+  std::string Name(Spelling);
+  for (char &C : Name)
+    if (C >= 'A' && C <= 'Z')
+      C = static_cast<char>(C | 0x20);
+  return Name;
+}
+
+Lexer::Lexer(std::string_view Source)
+    : Cur(Source.data()), End(Source.data() + Source.size()),
+      LineStart(Source.data()) {}
+
 void Lexer::skipTrivia() {
-  while (Pos < Src.size()) {
-    char C = peek();
-    if (C == '!') {
-      while (Pos < Src.size() && peek() != '\n')
-        advance();
-    } else if (std::isspace(static_cast<unsigned char>(C))) {
-      advance();
-    } else {
+  while (Cur != End) {
+    switch (*Cur) {
+    case '\n':
+      ++Line;
+      LineStart = ++Cur;
       break;
+    case ' ':
+    case '\t':
+    case '\r':
+    case '\v':
+    case '\f':
+      ++Cur;
+      break;
+    case '!': {
+      // A comment runs to the newline, which the next iteration consumes.
+      const void *NL = std::memchr(Cur, '\n', static_cast<size_t>(End - Cur));
+      Cur = NL ? static_cast<const char *>(NL) : End;
+      break;
+    }
+    default:
+      return;
     }
   }
 }
 
 Token Lexer::lexNumber() {
-  SourceLocation Loc = here();
-  std::string Digits;
+  const char *Start = Cur;
   bool IsReal = false;
-  while (std::isdigit(static_cast<unsigned char>(peek())))
-    Digits += advance();
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peekAhead()))) {
+  while (Cur != End && isDigit(*Cur))
+    ++Cur;
+  if (End - Cur >= 2 && Cur[0] == '.' && isDigit(Cur[1])) {
     IsReal = true;
-    Digits += advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      Digits += advance();
+    Cur += 2;
+    while (Cur != End && isDigit(*Cur))
+      ++Cur;
   }
-  if (peek() == 'e' || peek() == 'E') {
-    size_t Save = Pos;
-    std::string Exp;
-    Exp += advance();
-    if (peek() == '+' || peek() == '-')
-      Exp += advance();
-    if (std::isdigit(static_cast<unsigned char>(peek()))) {
+  if (Cur != End && (*Cur == 'e' || *Cur == 'E')) {
+    // An exponent only when digits follow; otherwise the 'e' starts the
+    // next token (e.g. "3 elseif").
+    const char *P = Cur + 1;
+    if (P != End && (*P == '+' || *P == '-'))
+      ++P;
+    if (P != End && isDigit(*P)) {
       IsReal = true;
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        Exp += advance();
-      Digits += Exp;
-    } else {
-      // Not an exponent after all (e.g. identifier following); rewind the
-      // consumed characters. Column bookkeeping tolerates this because
-      // numbers never span lines.
-      Column -= static_cast<unsigned>(Pos - Save);
-      Pos = Save;
+      Cur = P;
+      while (Cur != End && isDigit(*Cur))
+        ++Cur;
     }
   }
+
   Token T;
-  T.Loc = Loc;
+  T.Loc = locOf(Start);
+  T.Text = std::string_view(Start, static_cast<size_t>(Cur - Start));
   if (IsReal) {
     T.Kind = TokenKind::RealLiteral;
-    T.RealValue = std::strtod(Digits.c_str(), nullptr);
+    // strtod rather than std::from_chars: libstdc++'s floating-point
+    // from_chars brings some 40 KB of code and tables into the resident
+    // set. strtod needs a terminated copy, which the small-string buffer
+    // holds without allocating for spellings up to 15 bytes.
+    T.RealValue = std::strtod(std::string(T.Text).c_str(), nullptr);
   } else {
     T.Kind = TokenKind::IntLiteral;
-    T.IntValue = std::strtoll(Digits.c_str(), nullptr, 10);
+    auto [Ptr, Ec] = std::from_chars(Start, Cur, T.IntValue);
+    (void)Ptr;
+    if (Ec == std::errc::result_out_of_range) {
+      T.IntValue = INT64_MAX;
+      T.OutOfRange = true;
+    }
   }
   return T;
 }
 
 Token Lexer::lexIdentifier() {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"program", TokenKind::KwProgram},
-      {"subroutine", TokenKind::KwSubroutine},
-      {"function", TokenKind::KwFunction},
-      {"end", TokenKind::KwEnd},
-      {"integer", TokenKind::KwInteger},
-      {"real", TokenKind::KwReal},
-      {"logical", TokenKind::KwLogical},
-      {"if", TokenKind::KwIf},
-      {"then", TokenKind::KwThen},
-      {"elseif", TokenKind::KwElseif},
-      {"else", TokenKind::KwElse},
-      {"do", TokenKind::KwDo},
-      {"while", TokenKind::KwWhile},
-      {"call", TokenKind::KwCall},
-      {"print", TokenKind::KwPrint},
-      {"return", TokenKind::KwReturn},
-      {"and", TokenKind::KwAnd},
-      {"or", TokenKind::KwOr},
-      {"not", TokenKind::KwNot},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-  };
-  SourceLocation Loc = here();
-  std::string Name;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    Name += static_cast<char>(
-        std::tolower(static_cast<unsigned char>(advance())));
+  const char *Start = Cur;
+  while (Cur != End && isIdentifierChar(*Cur))
+    ++Cur;
   Token T;
-  T.Loc = Loc;
-  auto It = Keywords.find(Name);
-  if (It != Keywords.end()) {
-    T.Kind = It->second;
-  } else {
-    T.Kind = TokenKind::Identifier;
-    T.Text = std::move(Name);
-  }
+  T.Loc = locOf(Start);
+  T.Text = std::string_view(Start, static_cast<size_t>(Cur - Start));
+  T.Kind = classifyWord(Start, T.Text.size());
   return T;
 }
 
 Token Lexer::next() {
   skipTrivia();
-  if (Pos >= Src.size()) {
-    Token T;
+  Token T;
+  T.Loc = locOf(Cur);
+  if (Cur == End) {
     T.Kind = TokenKind::Eof;
-    T.Loc = here();
     return T;
   }
-  char C = peek();
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  char C = *Cur;
+  if (isDigit(C))
     return lexNumber();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  if (isLetter(C) || C == '_')
     return lexIdentifier();
 
-  SourceLocation Loc = here();
-  advance();
-  Token T;
-  T.Loc = Loc;
+  T.Text = std::string_view(Cur, 1);
+  ++Cur;
+  // One- or two-byte operator: the second byte is '=' for the compound
+  // comparisons.
+  auto OrEq = [&](TokenKind One, TokenKind WithEq) {
+    if (Cur != End && *Cur == '=') {
+      ++Cur;
+      T.Text = std::string_view(T.Text.data(), 2);
+      return WithEq;
+    }
+    return One;
+  };
   switch (C) {
   case '=':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::EqEq;
-    } else {
-      T.Kind = TokenKind::Assign;
-    }
-    return T;
+    T.Kind = OrEq(TokenKind::Assign, TokenKind::EqEq);
+    break;
   case '/':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::NotEq;
-    } else {
-      T.Kind = TokenKind::Slash;
-    }
-    return T;
+    T.Kind = OrEq(TokenKind::Slash, TokenKind::NotEq);
+    break;
   case '<':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::LessEq;
-    } else {
-      T.Kind = TokenKind::Less;
-    }
-    return T;
+    T.Kind = OrEq(TokenKind::Less, TokenKind::LessEq);
+    break;
   case '>':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::GreaterEq;
-    } else {
-      T.Kind = TokenKind::Greater;
-    }
-    return T;
+    T.Kind = OrEq(TokenKind::Greater, TokenKind::GreaterEq);
+    break;
   case '+':
     T.Kind = TokenKind::Plus;
-    return T;
+    break;
   case '-':
     T.Kind = TokenKind::Minus;
-    return T;
+    break;
   case '*':
     T.Kind = TokenKind::Star;
-    return T;
+    break;
   case '(':
     T.Kind = TokenKind::LParen;
-    return T;
+    break;
   case ')':
     T.Kind = TokenKind::RParen;
-    return T;
+    break;
   case ',':
     T.Kind = TokenKind::Comma;
-    return T;
+    break;
   case ':':
     T.Kind = TokenKind::Colon;
-    return T;
+    break;
   default:
     T.Kind = TokenKind::Error;
-    T.Text = std::string("unexpected character '") + C + "'";
-    return T;
+    break;
   }
+  return T;
 }

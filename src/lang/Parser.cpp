@@ -2,17 +2,26 @@
 
 using namespace nascent;
 
-Parser::Parser(std::string Source, DiagnosticEngine &Diags)
-    : Lex(std::move(Source)), Diags(Diags) {
+Parser::Parser(std::string_view Source, DiagnosticEngine &Diags)
+    : Lex(Source), Diags(Diags) {
   CurTok = Lex.next();
   NextTok = Lex.next();
+  diagnoseLiteral();
 }
 
 Token Parser::consume() {
   Token T = CurTok;
   CurTok = NextTok;
   NextTok = Lex.next();
+  diagnoseLiteral();
   return T;
+}
+
+void Parser::diagnoseLiteral() {
+  if (CurTok.OutOfRange)
+    Diags.error(CurTok.Loc, "integer literal " + std::string(CurTok.Text) +
+                                " does not fit in 64 bits (the largest is "
+                                "9223372036854775807)");
 }
 
 bool Parser::match(TokenKind K) {
@@ -91,7 +100,7 @@ std::unique_ptr<ProcedureAST> Parser::parseUnit() {
     error("expected unit name");
     return nullptr;
   }
-  P->Name = consume().Text;
+  P->Name = consumeName();
 
   if (P->Kind != UnitKind::Program && match(TokenKind::LParen)) {
     parseParams(*P);
@@ -130,7 +139,7 @@ void Parser::parseParams(ProcedureAST &P) {
       error("expected parameter name");
       return;
     }
-    P.Params.push_back(consume().Text);
+    P.Params.push_back(consumeName());
   } while (match(TokenKind::Comma));
 }
 
@@ -153,7 +162,7 @@ bool Parser::parseDeclarator(Decl &D) {
   }
   Declarator V;
   V.Loc = cur().Loc;
-  V.Name = consume().Text;
+  V.Name = consumeName();
   if (match(TokenKind::LParen)) {
     do {
       int64_t A = 0;
@@ -295,7 +304,7 @@ StmtPtr Parser::parseDo() {
     error("expected loop index variable after 'do'");
     return nullptr;
   }
-  auto Do = std::make_unique<DoStmt>(Loc, consume().Text);
+  auto Do = std::make_unique<DoStmt>(Loc, consumeName());
   expect(TokenKind::Assign, "after do index");
   Do->Lower = parseExpr();
   expect(TokenKind::Comma, "after do lower bound");
@@ -337,7 +346,7 @@ StmtPtr Parser::parseCall() {
     error("expected subroutine name after 'call'");
     return nullptr;
   }
-  std::string Callee = consume().Text;
+  std::string Callee = consumeName();
   std::vector<ExprPtr> Args;
   if (match(TokenKind::LParen)) {
     if (!cur().is(TokenKind::RParen))
@@ -349,7 +358,7 @@ StmtPtr Parser::parseCall() {
 
 StmtPtr Parser::parseAssign() {
   SourceLocation Loc = cur().Loc;
-  std::string Name = consume().Text;
+  std::string Name = consumeName();
   if (match(TokenKind::LParen)) {
     std::vector<ExprPtr> Indices = parseArgList();
     expect(TokenKind::RParen, "after subscripts");
@@ -522,7 +531,7 @@ ExprPtr Parser::parsePrimary() {
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::RealCast, std::move(E));
   }
   case TokenKind::Identifier: {
-    std::string Name = consume().Text;
+    std::string Name = consumeName();
     if (!match(TokenKind::LParen))
       return std::make_unique<VarRefExpr>(Loc, std::move(Name));
     std::vector<ExprPtr> Args = parseArgList();

@@ -21,7 +21,9 @@ namespace nascent {
 /// Parses one source buffer.
 class Parser {
 public:
-  Parser(std::string Source, DiagnosticEngine &Diags);
+  /// Parses \p Source in place; the buffer must outlive the parser (the
+  /// returned AST owns copies of every name it keeps).
+  Parser(std::string_view Source, DiagnosticEngine &Diags);
 
   /// Parses the whole file. On errors the returned AST may be partial;
   /// check Diags.hasErrors().
@@ -32,6 +34,10 @@ private:
   const Token &cur() const { return CurTok; }
   const Token &ahead() const { return NextTok; }
   Token consume();
+  /// Reports a lexical error carried by the token that just became current.
+  void diagnoseLiteral();
+  /// Consumes the current (identifier) token and returns its folded name.
+  std::string consumeName() { return foldIdentifier(consume().Text); }
   bool match(TokenKind K);
   bool expect(TokenKind K, const char *Context);
   void error(const std::string &Msg);

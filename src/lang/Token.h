@@ -14,7 +14,7 @@
 #include "support/SourceLocation.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace nascent {
 
@@ -61,19 +61,26 @@ enum class TokenKind {
   RParen,
   Comma,
   Colon,
-  Error, ///< lexical error; Text holds the message
+  Error, ///< a byte that starts no token; Text holds it
 };
 
 /// Returns a printable name for \p K (used in parse diagnostics).
 const char *tokenKindName(TokenKind K);
 
-/// One lexed token.
+/// One lexed token. Tokens are views: \c Text points into the source
+/// buffer the lexer scans, so a token must not outlive that buffer.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLocation Loc;
-  std::string Text;     ///< identifier spelling or error message
+  /// The token's spelling in the source buffer; an identifier keeps its
+  /// case (see foldIdentifier), an Error token is the offending byte.
+  std::string_view Text;
   int64_t IntValue = 0; ///< for IntLiteral
   double RealValue = 0; ///< for RealLiteral
+  /// An IntLiteral above INT64_MAX (IntValue holds INT64_MAX). The parser
+  /// reports it when the token becomes current, so diagnostics stay in
+  /// source order.
+  bool OutOfRange = false;
 
   bool is(TokenKind K) const { return Kind == K; }
 };

@@ -285,6 +285,10 @@ private:
         std::string Key;
         if (!parseString(Key))
           return false;
+        // A reader keeping the first or the last of two equal keys would
+        // silently drop the other value, so a duplicate is malformed.
+        if (Out.get(Key))
+          return fail("duplicate object key '" + Key + "'");
         skipWs();
         if (Pos >= Text.size() || Text[Pos] != ':')
           return fail("expected ':'");

@@ -216,6 +216,118 @@ TEST(CEmitter, SuiteProgramsMatchEndToEnd) {
   }
 }
 
+TEST(CEmitter, WrappingArithmeticIsDefinedInC) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  if (std::system("echo 'int main(void){return 0;}' | cc "
+                  "-fsanitize=signed-integer-overflow -x c -o /dev/null - "
+                  "> /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "the C compiler has no UBSan runtime";
+  // Reproducer B: 2 * k overflows. Integers wrap, so the naive lower-bound
+  // check on a(2 * k + i) fails; the C must trap at the same site as the
+  // interpreter, with no signed-overflow report from the sanitizer.
+  PipelineOptions PO;
+  PO.Opt.Scheme = PlacementScheme::NI;
+  PO.Telemetry.Profile = true;
+  CompileResult R = compileOrDie(R"(
+program p
+  integer k, i
+  real a(10)
+  k = 4611686018427387904
+  do i = 1, 3
+    a(i + 3) = 1.0
+    a(2 * k + i) = 1.0
+  end do
+  print a(4)
+end program
+)",
+                                 PO);
+  InterpOptions IO;
+  IO.Profile = &R.Profile;
+  ExecResult E = interpret(*R.M, IO);
+  ASSERT_TRUE(E.trapped()) << E.FaultMessage;
+  std::vector<std::pair<unsigned long, unsigned long>> InterpTraps;
+  for (const obs::FunctionProfile &FP : R.Profile.functions())
+    for (const obs::CheckSiteProfile &S : FP.Sites)
+      if (S.Traps)
+        InterpTraps.push_back({S.Block, S.Index});
+  ASSERT_EQ(InterpTraps.size(), 1u);
+
+  std::string Dir = ::testing::TempDir();
+  std::string CPath = Dir + "/nck_wrap.c", Bin = Dir + "/nck_wrap.bin",
+              ErrPath = Dir + "/nck_wrap.err";
+  {
+    std::ofstream Out(CPath);
+    CEmitOptions CO;
+    CO.Profile = true;
+    Out << emitModuleToC(*R.M, CO);
+  }
+  ASSERT_EQ(std::system(("cc -O1 -fsanitize=signed-integer-overflow "
+                         "-fno-sanitize-recover=all -o " +
+                         Bin + " " + CPath + " 2> " + ErrPath)
+                            .c_str()),
+            0);
+  int Rc = std::system((Bin + " > /dev/null 2> " + ErrPath).c_str());
+  EXPECT_EQ(WEXITSTATUS(Rc), 2) << "expected the range-check trap exit";
+  std::ifstream Err(ErrPath);
+  std::string Line;
+  std::vector<std::pair<unsigned long, unsigned long>> CTraps;
+  while (std::getline(Err, Line)) {
+    EXPECT_EQ(Line.find("runtime error"), std::string::npos) << Line;
+    char Func[256];
+    unsigned long Block, Index;
+    unsigned long long Tag, Hits, Traps;
+    if (std::sscanf(Line.c_str(),
+                    "[nascent-profsite] func=%255s block=%lu index=%lu "
+                    "tag=%llu hits=%llu traps=%llu",
+                    Func, &Block, &Index, &Tag, &Hits, &Traps) == 6 &&
+        Traps)
+      CTraps.push_back({Block, Index});
+  }
+  EXPECT_EQ(CTraps, InterpTraps);
+}
+
+TEST(CEmitter, MinimumIntegerDivisionWraps) {
+  // INT64_MIN / -1 wraps to INT64_MIN and INT64_MIN mod -1 is 0, in the
+  // interpreter and in the emitted C alike (neither may raise SIGFPE).
+  PipelineOptions PO;
+  PO.Optimize = false;
+  const char *Source = R"(
+program p
+  integer a, b
+  a = -9223372036854775807 - 1
+  b = -1
+  print a / b
+  print mod(a, b)
+  print -a
+  print abs(a)
+  print a - 1
+  print (a + 1) * b
+  print (-9223372036854775807 - 1) / (-1)
+  print mod(-9223372036854775807 - 1, -1)
+  print -(-9223372036854775807 - 1)
+  print 9223372036854775807 + 1
+  print 9223372036854775807 * 2
+end program
+)";
+  // The last five have constant operands, so lowering folds them: the
+  // compiler must wrap exactly as the program would at run time.
+  CompileResult R = compileOrDie(Source, PO);
+  ExecResult E = interpret(*R.M);
+  ASSERT_TRUE(E.ok()) << E.FaultMessage;
+  EXPECT_EQ(E.Output,
+            (std::vector<std::string>{
+                "-9223372036854775808", "0", "-9223372036854775808",
+                "-9223372036854775808", "9223372036854775807",
+                "9223372036854775807", "-9223372036854775808", "0",
+                "-9223372036854775808", "-9223372036854775808", "-2"}));
+  // The folded constant INT64_MIN has no C literal; the emitter must not
+  // print the out-of-range 9223372036854775808LL.
+  EXPECT_EQ(emitModuleToC(*R.M).find("9223372036854775808LL"),
+            std::string::npos);
+  expectMatchesInterpreter(Source, PO, "minint");
+}
+
 TEST(CEmitter, DeterministicOutput) {
   CompileResult R = compileNaive(findSuiteProgram("qcd")->Source);
   std::string A = emitModuleToC(*R.M);

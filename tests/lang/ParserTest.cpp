@@ -239,4 +239,22 @@ TEST(Parser, ErrorVariableStep) {
              "integer constant");
 }
 
+TEST(Parser, IntegerLiteralOverflowInSourceOrder) {
+  // The parser reads one token ahead, but the literal's error is reported
+  // when the literal becomes current: after the parse error on the token
+  // before it.
+  DiagnosticEngine D;
+  Parser P("program p\n integer k\n k = = 99999999999999999999\n"
+           " k = 9223372036854775807\nend program",
+           D);
+  P.parseProgram();
+  const auto &Diags = D.diagnostics();
+  ASSERT_EQ(Diags.size(), 2u) << D.render();
+  EXPECT_EQ(Diags[0].Loc, SourceLocation(3, 6));
+  EXPECT_EQ(Diags[1].Loc, SourceLocation(3, 8));
+  EXPECT_EQ(Diags[1].Message, "integer literal 99999999999999999999 does not "
+                              "fit in 64 bits (the largest is "
+                              "9223372036854775807)");
+}
+
 } // namespace

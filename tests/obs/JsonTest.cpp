@@ -66,6 +66,17 @@ TEST(Json, ParserRejectsGarbage) {
   EXPECT_FALSE(parseJson("", V));
 }
 
+TEST(Json, ParserRejectsDuplicateKeys) {
+  JsonValue V;
+  std::string Err;
+  EXPECT_FALSE(parseJson("{\"runs\":[1],\"n\":2,\"runs\":3}", V, &Err));
+  EXPECT_NE(Err.find("duplicate object key 'runs'"), std::string::npos)
+      << Err;
+  // Nested objects are checked too; equal keys in sibling objects are fine.
+  EXPECT_FALSE(parseJson("{\"a\":{\"x\":1,\"x\":1}}", V));
+  EXPECT_TRUE(parseJson("{\"a\":{\"x\":1},\"b\":{\"x\":1}}", V));
+}
+
 TEST(Json, RoundTrip) {
   JsonWriter W;
   W.beginObject();
