@@ -28,9 +28,10 @@
 /// stats, and "runCount" equals the number of runs.
 ///
 /// Additionally, a document carrying a "cacheStats" member (mfc -cache
-/// -stats-json, docs/caching.md) has that block checked for shape: both
-/// tiers present with non-negative hit/miss counters, and the byte gauge
-/// within the advertised budget. The cache-smoke entries rely on this.
+/// -stats-json, docs/caching.md) has that block checked for shape: the
+/// one frontend tier present with non-negative hit/miss counters, no
+/// other tier, and the byte gauge within the advertised budget. The
+/// cache-smoke entries rely on this.
 ///
 /// Exits 0 on a valid document, 1 on a parse/validation failure or a
 /// failing command.
@@ -50,9 +51,9 @@ using namespace nascent;
 namespace {
 
 /// Validates the "cacheStats" block emitted by ArtifactCache::
-/// writeStatsJson: {"frontend":{"hits","misses"},"analysis":{...},
-/// "bytes","maxBytes","evictions"}, every counter a non-negative number
-/// and the live byte gauge within the advertised budget.
+/// writeStatsJson: {"frontend":{"hits","misses"},"bytes","maxBytes",
+/// "evictions"} and no "analysis" tier, every counter a non-negative
+/// number and the live byte gauge within the advertised budget.
 bool validateCacheStats(const obs::JsonValue &CS, std::string *Err) {
   auto Fail = [&](const std::string &Msg) {
     if (Err)
@@ -61,17 +62,16 @@ bool validateCacheStats(const obs::JsonValue &CS, std::string *Err) {
   };
   if (!CS.isObject())
     return Fail("not an object");
-  for (const char *Tier : {"frontend", "analysis"}) {
-    const obs::JsonValue *T = CS.get(Tier);
-    if (!T || !T->isObject())
-      return Fail(std::string(Tier) + " tier missing");
-    for (const char *Counter : {"hits", "misses"}) {
-      const obs::JsonValue *C = T->get(Counter);
-      if (!C || !C->isNumber() || C->Number < 0)
-        return Fail(std::string(Tier) + "." + Counter +
-                    " missing or negative");
-    }
+  const obs::JsonValue *Frontend = CS.get("frontend");
+  if (!Frontend || !Frontend->isObject())
+    return Fail("frontend missing");
+  for (const char *Counter : {"hits", "misses"}) {
+    const obs::JsonValue *C = Frontend->get(Counter);
+    if (!C || !C->isNumber() || C->Number < 0)
+      return Fail(std::string("frontend.") + Counter + " missing or negative");
   }
+  if (CS.get("analysis"))
+    return Fail("unexpected analysis tier");
   for (const char *Field : {"bytes", "maxBytes", "evictions"}) {
     const obs::JsonValue *F = CS.get(Field);
     if (!F || !F->isNumber() || F->Number < 0)

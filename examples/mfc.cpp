@@ -19,7 +19,7 @@
 ///     -emit-c                           print instrumented C instead of
 ///                                       running the program
 ///     -quiet                            suppress program output
-///     -cache[=off]                      reuse frontend/analysis artifacts
+///     -cache[=off]                      reuse frontend snapshots
 ///                                       from the process-global content-
 ///                                       addressed cache (docs/caching.md)
 ///     -stats-json                       print optimizer stats, phase

@@ -17,7 +17,7 @@
 ///                           # dynamic check density per configuration
 ///   sweep --audit           # trap-safety audit of every cell; exits 1 on
 ///                           # any finding (the `audit-all` CI gate)
-///   sweep --cache           # share frontend/analysis artifacts across
+///   sweep --cache           # share frontend snapshots across
 ///                           # cells (docs/caching.md); stats on stderr
 ///   sweep -trace-out=PATH   # one merged Chrome trace, one lane per
 ///                           # worker thread

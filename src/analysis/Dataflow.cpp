@@ -154,12 +154,5 @@ DataflowResult nascent::solveDataflow(const Function &F,
   ++NumSolves;
   NumBlockVisits += Visits;
   VisitsPerSolve.record(Visits);
-  R.Visits = Visits;
   return R;
-}
-
-void nascent::creditDataflowSolve(uint64_t Visits) {
-  ++NumSolves;
-  NumBlockVisits += Visits;
-  VisitsPerSolve.record(Visits);
 }

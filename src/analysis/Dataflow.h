@@ -43,19 +43,11 @@ struct DataflowProblem {
 struct DataflowResult {
   std::vector<DenseBitVector> In;
   std::vector<DenseBitVector> Out;
-  /// Block recomputations the solve performed to reach the fixpoint;
-  /// pass it to creditDataflowSolve when replaying a memoised solve.
-  uint64_t Visits = 0;
 };
 
 /// Solves \p P to its maximal (Intersect) or minimal (Union) fixpoint.
 /// Predecessor lists of \p F must be current.
 DataflowResult solveDataflow(const Function &F, const DataflowProblem &P);
-
-/// Records the solver's telemetry (solve count, block visits, the
-/// visits-per-solve histogram) for a solve that was answered from a memo
-/// instead of re-run, so cached and organic runs emit identical stats.
-void creditDataflowSolve(uint64_t Visits);
 
 } // namespace nascent
 

@@ -9,8 +9,6 @@ using namespace nascent;
 NASCENT_STAT(NumInterned, "checks.universe.interned",
              "distinct checks interned into universes");
 
-void CheckUniverse::creditInterned(uint64_t N) { NumInterned += N; }
-
 CheckID CheckUniverse::intern(const CheckExpr &C) {
   auto It = Interned.find(C);
   if (It != Interned.end())

@@ -40,13 +40,6 @@ public:
   /// Returns the id of \p C, interning it if new.
   CheckID intern(const CheckExpr &C);
 
-  /// Adds \p N to the "checks.universe.interned" counter without interning
-  /// anything. The artifact cache replays the intern count of a universe
-  /// build it satisfied from a stored seed (every universe entry of a
-  /// fact-free build was interned exactly once), keeping the counter
-  /// identical whether the build ran or was reused (docs/caching.md).
-  static void creditInterned(uint64_t N);
-
   /// Returns the id of \p C or InvalidCheck when not interned.
   CheckID find(const CheckExpr &C) const;
 

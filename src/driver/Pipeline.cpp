@@ -40,22 +40,25 @@ CompileResult nascent::compileSource(const std::string &Source,
     }
   };
 
-  // Frontend artifact tier: reuse a verified post-lowering snapshot of
-  // this exact (source, lowering options, check source) if one is cached.
-  // The clone preserves check tags, so lifecycle recording below re-opens
-  // the same events the organic path would.
+  // Reuse a verified post-lowering snapshot of this exact (source,
+  // lowering options, check source) if one is cached. The clone preserves
+  // check tags, so lifecycle recording below re-opens the same events the
+  // organic path would. A miss claims the key, so concurrent compiles of
+  // it wait for this build; if the build stores nothing, releasing the
+  // claim lets them build for themselves.
   cache::ArtifactCache *Cache =
       Opts.Cache.Enabled
           ? (Opts.Cache.Cache ? Opts.Cache.Cache
                               : &cache::ArtifactCache::global())
           : nullptr;
   support::Hash128 FrontKey;
+  cache::ArtifactCache::FrontendClaim Claim;
   std::unique_ptr<Module> M;
   if (Cache) {
     FrontKey = cache::hashFrontendKey(Source, Opts.Lowering,
                                       static_cast<unsigned>(Opts.Source));
     obs::ScopedPhase Ph(R.Phases, "cache-frontend", T0, &R.Trace);
-    if (auto FA = Cache->findFrontend(FrontKey))
+    if (auto FA = Cache->findFrontend(FrontKey, Claim))
       M = FA->Snapshot->clone();
   }
 
@@ -103,6 +106,7 @@ CompileResult nascent::compileSource(const std::string &Source,
       obs::ScopedPhase Ph(R.Phases, "cache-store", T0, &R.Trace);
       Cache->storeFrontend(FrontKey, M->clone());
     }
+    Claim.release();
   } else {
     // Cache hit: the snapshot was verified when stored; open the naive
     // checks' lifecycles exactly as the organic path does after lowering.
@@ -127,8 +131,6 @@ CompileResult nascent::compileSource(const std::string &Source,
       OC.Remarks = &R.Remarks;
       OC.Trace = &R.Trace;
       OC.Provenance = &R.Provenance;
-      OC.Cache = Cache;
-      OC.ModuleKey = FrontKey;
       R.Stats = optimizeModule(*M, OC, R.Diags);
     }
     bool PostOk;

@@ -47,10 +47,9 @@ struct PipelineOptions {
   /// Content-addressed artifact caching (docs/caching.md). When enabled,
   /// the pipeline reuses a verified post-lowering module snapshot for a
   /// previously seen (source, lowering options, check source) key —
-  /// skipping parse/sema/lower/verify — and threads the cache into the
-  /// optimizer so analysis artifacts are shared too. All outputs (stats,
-  /// remarks, provenance, profile, audit findings) are byte-identical
-  /// with the cache on or off.
+  /// skipping parse/sema/lower/verify, none of which records a stat.
+  /// All outputs (stats, remarks, provenance, profile, audit findings)
+  /// are byte-identical with the cache on or off.
   struct CacheOptions {
     bool Enabled = false;
     /// The cache instance to share; null means the process-global one.

@@ -1,6 +1,5 @@
 #include "opt/CheckContext.h"
 
-#include "cache/ArtifactCache.h"
 #include "obs/StatRegistry.h"
 
 using namespace nascent;
@@ -20,98 +19,45 @@ CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
                            const std::vector<PreheaderFact> &Facts,
                            obs::TraceCollector *Trace)
     : F(F), Mode(Mode), Trace(Trace),
-      OwnedU(/*FamilyPerCheck=*/Mode == ImplicationMode::None), U(OwnedU),
-      OwnedCore(std::make_shared<cache::ContextCore>()), Core(*OwnedCore),
-      CIG(U, Mode) {
+      U(/*FamilyPerCheck=*/Mode == ImplicationMode::None), CIG(U, Mode) {
   obs::TraceScope Scope(Trace, "cig-build");
-  // Meter the build so a cache-seeded rebuild can replay its exact
-  // word-op cost. Thread-local counter only: concurrent thread exits
-  // (which fold into the retired total) cannot skew the delta.
-  uint64_t OpsBefore = DenseBitVector::threadWordOps();
   buildUniverse(Facts);
   buildBlockSets();
-  BuildWordOps = DenseBitVector::threadWordOps() - OpsBefore;
-  recordBuildStats();
-}
-
-CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
-                           const cache::ContextSeed &Seed,
-                           obs::TraceCollector *Trace)
-    : F(F), Mode(Mode), Trace(Trace), SharedU(Seed.U), U(*SharedU),
-      SharedCore(Seed.Core), Core(*SharedCore), CIG(U, Mode) {
-  obs::TraceScope Scope(Trace, "cig-seed");
-  BuildWordOps = Seed.BuildWordOps;
-  Solves = Seed.Solves;
-  // Replay the telemetry of the organic build this seed stands in for:
-  // its bit-vector work and its interning of every universe entry (seeds
-  // are only stored for fact-free builds, where each entry was interned
-  // exactly once). The stat epilogue below then re-records the same
-  // counters and histograms the organic constructor would have.
-  DenseBitVector::creditThreadOps(Seed.BuildWordOps);
-  CheckUniverse::creditInterned(U.size());
-  recordBuildStats();
-}
-
-cache::ContextSeed CheckContext::makeSeed() const {
-  cache::ContextSeed Seed;
-  // Share our universe and table core (already shared if we were seeded
-  // ourselves): no copies, at store time or per hit. Completing the lazy
-  // closure build first keeps the shared core immutable — it is a no-op
-  // whenever any check exists (the constructor built the closures while
-  // scanning blocks) and free when none does (empty caches).
-  Seed.U = SharedU ? SharedU
-                   : std::make_shared<const CheckUniverse>(OwnedU);
-  ensureClosures();
-  Seed.Core = SharedCore
-                  ? SharedCore
-                  : std::shared_ptr<const cache::ContextCore>(OwnedCore);
-  Seed.BuildWordOps = BuildWordOps;
-  // Attach the shared solve memo to both this context and the seed, so
-  // the first consumer to solve a data-flow problem — whether through
-  // this (organic) context or any seeded copy — answers it for all.
-  if (!Solves)
-    Solves = std::make_shared<cache::SolveMemo>();
-  Seed.Solves = Solves;
-  return Seed;
-}
-
-void CheckContext::recordBuildStats() {
   ++NumContexts;
   UniverseSizes.record(U.size());
   FamilyCounts.record(U.numFamilies());
   NumCigEdges += CIG.numEdges();
-  for (const DenseBitVector &K : Core.Kill)
+  for (const DenseBitVector &K : Kill)
     KillSetSizes.record(K.count());
 }
 
 void CheckContext::buildUniverse(const std::vector<PreheaderFact> &Facts) {
-  cache::ContextCore &W = *OwnedCore;
-  W.InstCheck.assign(F.numBlocks(), {});
+  InstCheck.assign(F.numBlocks(), {});
   for (const auto &BB : F) {
-    auto &Ids = W.InstCheck[BB->id()];
+    auto &Ids = InstCheck[BB->id()];
     Ids.assign(BB->size(), InvalidCheck);
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
       const Instruction &I = BB->instructions()[Idx];
       if (I.Op != Opcode::Check)
         continue;
-      CheckID C = OwnedU.intern(I.Check);
+      CheckID C = U.intern(I.Check);
       Ids[Idx] = C;
-      if (W.RepOrigin.size() <= C)
-        W.RepOrigin.resize(C + 1);
-      if (W.RepOrigin[C].ArrayName.empty())
-        W.RepOrigin[C] = I.Origin;
+      if (RepOrigin.size() <= C)
+        RepOrigin.resize(C + 1);
+      if (RepOrigin[C].ArrayName.empty())
+        RepOrigin[C] = I.Origin;
     }
   }
   // Conditional checks participate through their facts; also intern their
   // main payloads so closures can reference them.
   for (const PreheaderFact &PF : Facts)
     StoredFacts.push_back(
-      {PF.BodyEntry, OwnedU.intern(PF.Fact), PF.Source});
-  W.RepOrigin.resize(U.size());
+      {PF.BodyEntry, U.intern(PF.Fact), PF.Source});
+  RepOrigin.resize(U.size());
 
-  W.GenIn.assign(F.numBlocks(), DenseBitVector(U.size()));
+  GenIn.assign(F.numBlocks(), DenseBitVector(U.size()));
   for (const FactInfo &FI : StoredFacts)
-    W.GenIn[FI.Block] |= weakerClosure(FI.Id);
+    GenIn[FI.Block] |= weakerClosure(FI.Id);
 }
 
 CheckTag CheckContext::preheaderWitness(BlockID B, CheckID C) const {
@@ -136,7 +82,7 @@ void CheckContext::applyAvailGen(BlockID B, size_t Idx, const Instruction &I,
                                  DenseBitVector &Bits) const {
   if (I.Op != Opcode::Check)
     return;
-  CheckID C = Core.InstCheck[B][Idx];
+  CheckID C = InstCheck[B][Idx];
   if (C == InvalidCheck)
     return;
   Bits |= weakerClosure(C);
@@ -146,7 +92,7 @@ void CheckContext::applyAnticGen(BlockID B, size_t Idx, const Instruction &I,
                                  DenseBitVector &Bits) const {
   if (I.Op != Opcode::Check)
     return;
-  CheckID C = Core.InstCheck[B][Idx];
+  CheckID C = InstCheck[B][Idx];
   if (C == InvalidCheck)
     return;
   Bits |= weakerClosureSameFamily(C);
@@ -154,33 +100,30 @@ void CheckContext::applyAnticGen(BlockID B, size_t Idx, const Instruction &I,
 
 const DenseBitVector &CheckContext::weakerClosure(CheckID C) const {
   ensureClosures();
-  return Core.ClosureCache[C];
+  return ClosureCache[C];
 }
 
 const DenseBitVector &
 CheckContext::weakerClosureSameFamily(CheckID C) const {
   ensureClosures();
-  return Core.FamClosureCache[C];
+  return FamClosureCache[C];
 }
 
 void CheckContext::ensureClosures() const {
-  if (Core.ClosuresBuilt)
+  if (ClosuresBuilt)
     return;
-  // Only organic contexts reach the build: makeSeed completes it before
-  // the core is shared, so seeded contexts always find ClosuresBuilt.
-  cache::ContextCore &W = *OwnedCore;
-  W.ClosuresBuilt = true;
+  ClosuresBuilt = true;
   size_t N = U.size();
-  W.ClosureCache.assign(N, DenseBitVector(N));
-  W.FamClosureCache.assign(N, DenseBitVector(N));
+  ClosureCache.assign(N, DenseBitVector(N));
+  FamClosureCache.assign(N, DenseBitVector(N));
   if (N == 0)
     return;
 
   if (Mode == ImplicationMode::None) {
     // Every check implies only itself; no graph walks needed.
     for (size_t C = 0; C != N; ++C) {
-      W.ClosureCache[C].set(C);
-      W.FamClosureCache[C].set(C);
+      ClosureCache[C].set(C);
+      FamClosureCache[C].set(C);
     }
     return;
   }
@@ -224,18 +167,18 @@ void CheckContext::ensureClosures() const {
         // Same family: everything with a bound at least ours. (Binary
         // search instead of position K keeps duplicate bounds exact.)
         size_t Start = FirstWithBoundAtLeast(Members, BoundC);
-        W.ClosureCache[C] |= Suffix[FI][Start];
-        W.FamClosureCache[C] |= Suffix[FI][Start];
+        ClosureCache[C] |= Suffix[FI][Start];
+        FamClosureCache[C] |= Suffix[FI][Start];
       }
-      W.ClosureCache[C].set(C);
-      W.FamClosureCache[C].set(C);
+      ClosureCache[C].set(C);
+      FamClosureCache[C].set(C);
       // Cross family: members reachable with accumulated weight. The
       // reachability row is computed once per family (cached in the CIG)
       // and shared by all its members.
       CIG.forEachReachable(
           static_cast<FamilyID>(FI), [&](FamilyID FJ, int64_t Wt) {
             const std::vector<CheckID> &MJ = U.familyMembers(FJ);
-            W.ClosureCache[C] |=
+            ClosureCache[C] |=
                 Suffix[FJ][FirstWithBoundAtLeast(MJ, BoundC + Wt)];
           });
     }
@@ -243,11 +186,10 @@ void CheckContext::ensureClosures() const {
 }
 
 void CheckContext::buildBlockSets() {
-  cache::ContextCore &W = *OwnedCore;
   size_t N = U.size();
-  W.Kill.assign(F.numBlocks(), DenseBitVector(N));
-  W.AvailGen.assign(F.numBlocks(), DenseBitVector(N));
-  W.AnticGen.assign(F.numBlocks(), DenseBitVector(N));
+  Kill.assign(F.numBlocks(), DenseBitVector(N));
+  AvailGen.assign(F.numBlocks(), DenseBitVector(N));
+  AnticGen.assign(F.numBlocks(), DenseBitVector(N));
 
   for (const auto &BB : F) {
     BlockID B = BB->id();
@@ -257,17 +199,17 @@ void CheckContext::buildBlockSets() {
       if (I.Dest == InvalidSymbol)
         continue;
       for (CheckID C : U.checksUsingSymbol(I.Dest))
-        W.Kill[B].set(C);
+        Kill[B].set(C);
     }
 
     // Availability gen: forward scan starting from the entry facts.
-    DenseBitVector Running = W.GenIn[B];
+    DenseBitVector Running = GenIn[B];
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
       const Instruction &I = BB->instructions()[Idx];
       applyKill(I, Running);
       applyAvailGen(B, Idx, I, Running);
     }
-    W.AvailGen[B] = std::move(Running);
+    AvailGen[B] = std::move(Running);
 
     // Anticipatability gen: backward scan from an empty exit set.
     DenseBitVector Back(N);
@@ -276,76 +218,35 @@ void CheckContext::buildBlockSets() {
       applyKill(I, Back);
       applyAnticGen(B, Idx, I, Back);
     }
-    W.AnticGen[B] = std::move(Back);
+    AnticGen[B] = std::move(Back);
   }
 }
 
 DataflowResult CheckContext::solveAvailability() const {
   obs::TraceScope Scope(Trace, "solve-avail");
-  auto Solve = [&] {
-    DataflowProblem P;
-    P.Dir = DataflowProblem::Direction::Forward;
-    P.MeetOp = DataflowProblem::Meet::Intersect;
-    P.UniverseSize = U.size();
-    P.Gen = Core.AvailGen;
-    P.Kill = Core.Kill;
-    return solveDataflow(F, P);
-  };
-  if (!Solves)
-    return Solve();
-  // Cached compile: answer from the shared memo. The first solve runs
-  // organically and records its telemetry inside solveDataflow; replays
-  // credit the identical visit count and word ops to the calling thread,
-  // so cache-on and cache-off runs emit byte-identical stats. Bit-vector
-  // copies are not counted ops, so returning a copy is telemetry-free.
-  // The ready flag is release-published after the result is complete, so
-  // the replay fast path never takes the mutex.
-  if (!Solves->AvailReady.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> Lock(Solves->Mu);
-    if (!Solves->AvailReady.load(std::memory_order_relaxed)) {
-      uint64_t Ops0 = DenseBitVector::threadWordOps();
-      Solves->Avail = Solve();
-      Solves->AvailWordOps = DenseBitVector::threadWordOps() - Ops0;
-      Solves->AvailReady.store(true, std::memory_order_release);
-      return Solves->Avail;
-    }
-  }
-  creditDataflowSolve(Solves->Avail.Visits);
-  DenseBitVector::creditThreadOps(Solves->AvailWordOps);
-  return Solves->Avail;
+  DataflowProblem P;
+  P.Dir = DataflowProblem::Direction::Forward;
+  P.MeetOp = DataflowProblem::Meet::Intersect;
+  P.UniverseSize = U.size();
+  P.Gen = AvailGen;
+  P.Kill = Kill;
+  return solveDataflow(F, P);
 }
 
 DataflowResult CheckContext::solveAnticipatability() const {
   obs::TraceScope Scope(Trace, "solve-antic");
-  auto Solve = [&] {
-    DataflowProblem P;
-    P.Dir = DataflowProblem::Direction::Backward;
-    P.MeetOp = DataflowProblem::Meet::Intersect;
-    P.UniverseSize = U.size();
-    P.Gen = Core.AnticGen;
-    P.Kill = Core.Kill;
-    return solveDataflow(F, P);
-  };
-  if (!Solves)
-    return Solve();
-  if (!Solves->AnticReady.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> Lock(Solves->Mu);
-    if (!Solves->AnticReady.load(std::memory_order_relaxed)) {
-      uint64_t Ops0 = DenseBitVector::threadWordOps();
-      Solves->Antic = Solve();
-      Solves->AnticWordOps = DenseBitVector::threadWordOps() - Ops0;
-      Solves->AnticReady.store(true, std::memory_order_release);
-      return Solves->Antic;
-    }
-  }
-  creditDataflowSolve(Solves->Antic.Visits);
-  DenseBitVector::creditThreadOps(Solves->AnticWordOps);
-  return Solves->Antic;
+  DataflowProblem P;
+  P.Dir = DataflowProblem::Direction::Backward;
+  P.MeetOp = DataflowProblem::Meet::Intersect;
+  P.UniverseSize = U.size();
+  P.Gen = AnticGen;
+  P.Kill = Kill;
+  return solveDataflow(F, P);
 }
 
 bool CheckContext::locallyAnticipates(BlockID B, CheckID C) const {
   const BasicBlock *BB = F.block(B);
-  const std::vector<CheckID> &Ids = Core.InstCheck[B];
+  const std::vector<CheckID> &Ids = InstCheck[B];
   for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
     const Instruction &I = BB->instructions()[Idx];
     if (I.Dest != InvalidSymbol) {

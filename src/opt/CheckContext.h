@@ -17,13 +17,11 @@
 #define NASCENT_OPT_CHECKCONTEXT_H
 
 #include "analysis/Dataflow.h"
-#include "cache/ArtifactCache.h"
 #include "checks/CheckImplicationGraph.h"
 #include "checks/CheckUniverse.h"
 #include "ir/Function.h"
 #include "obs/Trace.h"
 
-#include <memory>
 #include <vector>
 
 namespace nascent {
@@ -49,25 +47,9 @@ public:
   CheckContext(const Function &F, ImplicationMode Mode,
                const std::vector<PreheaderFact> &Facts = {},
                obs::TraceCollector *Trace = nullptr);
-
-  /// Rebuilds a context from a cached seed (docs/caching.md): binds the
-  /// seed's shared universe and table core instead of walking the IR,
-  /// rebinds the implication graph to the shared universe, and replays
-  /// the stat and work-proxy effects of the organic build so telemetry
-  /// is byte-identical either way. Only valid for \p F content-identical
-  /// to the function the seed was built from, at the same mode, with no
-  /// preheader facts.
-  CheckContext(const Function &F, ImplicationMode Mode,
-               const cache::ContextSeed &Seed,
-               obs::TraceCollector *Trace = nullptr);
-
-  /// Snapshot of the built state for the artifact cache. Completes the
-  /// lazy closure build first (a no-op unless the universe is empty,
-  /// where it is free) so the shared core is immutable from here on.
-  cache::ContextSeed makeSeed() const;
-
-  /// Word-parallel bit-vector ops the construction spent (or replayed).
-  uint64_t buildWordOps() const { return BuildWordOps; }
+  // The implication graph refers to the universe member.
+  CheckContext(const CheckContext &) = delete;
+  CheckContext &operator=(const CheckContext &) = delete;
 
   const Function &function() const { return F; }
   const CheckUniverse &universe() const { return U; }
@@ -79,18 +61,18 @@ public:
   /// every other instruction (including CondCheck) and for instructions
   /// inserted after this context was built.
   CheckID idOf(BlockID B, size_t Idx) const {
-    if (B >= Core.InstCheck.size() || Idx >= Core.InstCheck[B].size())
+    if (B >= InstCheck.size() || Idx >= InstCheck[B].size())
       return InvalidCheck;
-    return Core.InstCheck[B][Idx];
+    return InstCheck[B][Idx];
   }
 
   /// A representative origin for diagnostics on inserted copies of \p C.
   const CheckOrigin &representativeOrigin(CheckID C) const {
-    return Core.RepOrigin[C];
+    return RepOrigin[C];
   }
 
   /// Entry facts per block (universe-sized bit vectors).
-  const DenseBitVector &genInBits(BlockID B) const { return Core.GenIn[B]; }
+  const DenseBitVector &genInBits(BlockID B) const { return GenIn[B]; }
 
   /// The lifecycle tag of a preheader conditional check whose fact covers
   /// \p C at the entry of \p B; NoCheckTag when no fact does (or the
@@ -129,12 +111,12 @@ public:
   const DenseBitVector &weakerClosureSameFamily(CheckID C) const;
 
   /// Per-block kill sets (union over instructions).
-  const DenseBitVector &blockKill(BlockID B) const { return Core.Kill[B]; }
+  const DenseBitVector &blockKill(BlockID B) const { return Kill[B]; }
 
   /// Per-block local anticipatability (LCM's ANTLOC): checks generated in
   /// the block with no kill before them.
   const DenseBitVector &blockAnticGen(BlockID B) const {
-    return Core.AnticGen[B];
+    return AnticGen[B];
   }
 
   /// True when block \p B contains a plain check generating \p C's
@@ -144,10 +126,6 @@ public:
 private:
   void buildUniverse(const std::vector<PreheaderFact> &Facts);
   void buildBlockSets();
-
-  /// The stat epilogue shared by the organic and seeded constructors, so
-  /// both record identical counter and histogram updates.
-  void recordBuildStats();
 
   /// One-shot batch fill of both closure caches. Groups the work by
   /// family: the per-family bound-suffix masks and the per-family
@@ -160,21 +138,7 @@ private:
   const Function &F;
   ImplicationMode Mode;
   obs::TraceCollector *Trace = nullptr;
-  /// Seeded contexts share the (immutable) universe of the build that
-  /// produced their seed instead of copying its intern maps; organic
-  /// builds intern into their own. U is the one in use everywhere.
-  std::shared_ptr<const CheckUniverse> SharedU;
-  CheckUniverse OwnedU;
-  const CheckUniverse &U;
-  /// The built tables (ids, origins, transfer sets, closures): organic
-  /// contexts allocate and fill OwnedCore (the write handle — also used
-  /// by the one lazy post-constructor write, ensureClosures); seeded
-  /// contexts bind SharedCore from their seed. Core is the one in use
-  /// everywhere. makeSeed completes the lazy closure build and then
-  /// shares the core, after which it is immutable.
-  std::shared_ptr<cache::ContextCore> OwnedCore;
-  std::shared_ptr<const cache::ContextCore> SharedCore;
-  const cache::ContextCore &Core;
+  CheckUniverse U;
   CheckImplicationGraph CIG;
 
   /// (body entry, interned fact, source tag) per preheader fact, kept for
@@ -186,18 +150,20 @@ private:
   };
   std::vector<FactInfo> StoredFacts;
 
-  /// Word-parallel bit-vector ops spent building the universe and block
-  /// sets (captured by the organic constructor, replayed by the seeded
-  /// one). Excludes the stat epilogue's own counted ops, which the seeded
-  /// constructor re-executes rather than replays.
-  uint64_t BuildWordOps = 0;
+  /// Per-instruction check ids, representative origins, entry facts and
+  /// block transfer sets, built by the constructor.
+  std::vector<std::vector<CheckID>> InstCheck;
+  std::vector<CheckOrigin> RepOrigin;
+  std::vector<DenseBitVector> GenIn;
+  std::vector<DenseBitVector> Kill;
+  std::vector<DenseBitVector> AvailGen; // includes GenIn survivors
+  std::vector<DenseBitVector> AnticGen;
 
-  /// Shared write-once memo for the global data-flow solves, threaded
-  /// through the seed so every context built from it answers each problem
-  /// from the first solve (mutable: makeSeed and the const solve methods
-  /// attach/populate it; null outside cached compiles, where the solvers
-  /// run organically every time).
-  mutable std::shared_ptr<cache::SolveMemo> Solves;
+  /// Weaker-closure caches, filled in one batch by ensureClosures
+  /// (mutable: the first const query may build them).
+  mutable bool ClosuresBuilt = false;
+  mutable std::vector<DenseBitVector> ClosureCache;
+  mutable std::vector<DenseBitVector> FamClosureCache;
 };
 
 } // namespace nascent

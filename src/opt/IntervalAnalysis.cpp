@@ -5,7 +5,6 @@
 #include "analysis/LoopInfo.h"
 #include "obs/StatRegistry.h"
 
-#include <optional>
 #include <vector>
 
 using namespace nascent;
@@ -245,22 +244,15 @@ public:
 } // namespace
 
 IntervalCheckClassification
-nascent::classifyChecksByIntervals(const Function &F,
-                                   const LoopInfo *CachedLoops) {
+nascent::classifyChecksByIntervals(const Function &F) {
   IntervalCheckClassification C;
   IntervalSolver Solver(F);
   Solver.solve();
 
   // Loop-index refinement: inside loop L the do index lies within the
   // hull of its bound intervals at the preheader (for either step sign).
-  std::optional<DominatorTree> OwnDT;
-  std::optional<LoopInfo> OwnLI;
-  if (!CachedLoops) {
-    OwnDT.emplace(F);
-    OwnLI.emplace(F, *OwnDT);
-    CachedLoops = &*OwnLI;
-  }
-  const LoopInfo &LI = *CachedLoops;
+  DominatorTree DT(F);
+  LoopInfo LI(F, DT);
   auto RefinedIndex = [&](BlockID B, SymbolID Sym) -> Interval {
     for (const Loop *L = LI.loopFor(B); L; L = L->Parent) {
       if (L->DoLoopIndex < 0)
@@ -321,11 +313,10 @@ nascent::classifyChecksByIntervals(const Function &F,
 
 IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                                                   DiagnosticEngine &Diags,
-                                                  obs::ProvenanceRecorder *Prov,
-                                                  const LoopInfo *CachedLoops) {
+                                                  obs::ProvenanceRecorder *Prov) {
   IntervalStats Stats;
   F.recomputePreds();
-  IntervalCheckClassification C = classifyChecksByIntervals(F, CachedLoops);
+  IntervalCheckClassification C = classifyChecksByIntervals(F);
   bool WantProv = Prov && Prov->enabled();
 
   for (auto &BB : F) {

@@ -24,8 +24,6 @@
 
 namespace nascent {
 
-class LoopInfo;
-
 /// A (possibly unbounded) integer interval [Lo, Hi].
 struct Interval {
   static constexpr int64_t NegInf = std::numeric_limits<int64_t>::min();
@@ -97,11 +95,8 @@ struct IntervalCheckClassification {
 /// every plain Check instruction. Predecessor lists must be current. The
 /// trap-safety auditor uses this to certify interval-discharged deletions
 /// and compile-time traps independently of the optimizer's own run.
-/// \p CachedLoops, when given, is a loop forest already computed for this
-/// exact IR (shared by the artifact cache); otherwise one is built.
 IntervalCheckClassification
-classifyChecksByIntervals(const Function &F,
-                          const LoopInfo *CachedLoops = nullptr);
+classifyChecksByIntervals(const Function &F);
 
 /// Runs the interval analysis over \p F and deletes every check the
 /// value ranges prove redundant; checks proved to always fail become
@@ -112,8 +107,7 @@ classifyChecksByIntervals(const Function &F,
 /// `compile-time-trap` remarks.
 IntervalStats
 eliminateChecksByIntervals(Function &F, DiagnosticEngine &Diags,
-                           obs::ProvenanceRecorder *Prov = nullptr,
-                           const LoopInfo *CachedLoops = nullptr);
+                           obs::ProvenanceRecorder *Prov = nullptr);
 
 } // namespace nascent
 

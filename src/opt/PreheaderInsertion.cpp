@@ -4,7 +4,6 @@
 #include "analysis/LoopInfo.h"
 #include "obs/StatRegistry.h"
 
-#include <optional>
 #include <unordered_map>
 
 using namespace nascent;
@@ -111,22 +110,15 @@ PreheaderStats
 nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
                                const PreheaderOptions &Opts,
                                std::vector<PreheaderFact> &FactsOut,
-                               obs::ProvenanceRecorder *Prov,
-                               const LoopInfo *CachedLoops) {
+                               obs::ProvenanceRecorder *Prov) {
   PreheaderStats Stats;
   const CheckUniverse &U = Ctx.universe();
   if (U.size() == 0)
     return Stats;
 
   F.recomputePreds();
-  std::optional<DominatorTree> OwnDT;
-  std::optional<LoopInfo> OwnLI;
-  if (!CachedLoops) {
-    OwnDT.emplace(F);
-    OwnLI.emplace(F, *OwnDT);
-    CachedLoops = &*OwnLI;
-  }
-  const LoopInfo &LI = *CachedLoops;
+  DominatorTree DT(F);
+  LoopInfo LI(F, DT);
   DataflowResult Antic = Ctx.solveAnticipatability();
 
   // Checks that occur as plain Check instructions inside each loop; a

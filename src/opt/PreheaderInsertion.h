@@ -32,8 +32,6 @@
 
 namespace nascent {
 
-class LoopInfo;
-
 /// Statistics of one preheader-insertion run.
 struct PreheaderStats {
   unsigned CondChecksInserted = 0;
@@ -64,14 +62,10 @@ struct PreheaderOptions {
 /// `rehoisted`), and a terminal SubsumedBy, which has no remark, when a
 /// re-hoisted check merges into an identical conditional already in the
 /// target preheader.
-/// \p CachedLoops, when given, is a loop forest already computed for this
-/// exact IR (the artifact cache shares one across identical compiles);
-/// otherwise the pass builds its own.
 PreheaderStats runPreheaderInsertion(Function &F, const CheckContext &Ctx,
                                      const PreheaderOptions &Opts,
                                      std::vector<PreheaderFact> &FactsOut,
-                                     obs::ProvenanceRecorder *Prov = nullptr,
-                                     const LoopInfo *CachedLoops = nullptr);
+                                     obs::ProvenanceRecorder *Prov = nullptr);
 
 } // namespace nascent
 

@@ -1,6 +1,5 @@
 #include "opt/RangeCheckOptimizer.h"
 
-#include "cache/ArtifactCache.h"
 #include "obs/Json.h"
 #include "obs/StatRegistry.h"
 #include "opt/CheckContext.h"
@@ -113,53 +112,6 @@ unsigned countStaticChecks(const Function &F) {
   return N;
 }
 
-/// Builds the CheckContexts (and loop forests) a scheme needs, consulting
-/// the artifact cache when it can: the function content key is known, no
-/// preheader facts are requested, and no insertion stage has mutated the
-/// IR since the key was computed. Cached and organic builds are
-/// telemetry-identical (see the seeded CheckContext constructor), so the
-/// factory is free to pick either.
-struct CtxFactory {
-  Function &F;
-  const RangeCheckOptions &Opts;
-  obs::TraceCollector *TC;
-  /// Content key of F's post-critical-edge-split IR; zero disables reuse.
-  support::Hash128 FnKey;
-  /// Set after any stage that may have mutated the IR.
-  bool IRDirty = false;
-
-  bool cacheUsable() const {
-    return Opts.Cache && !FnKey.isZero() && !IRDirty;
-  }
-
-  std::unique_ptr<CheckContext> make(const std::vector<PreheaderFact> &Facts) {
-    if (!cacheUsable() || !Facts.empty())
-      return std::make_unique<CheckContext>(F, Opts.Implications, Facts, TC);
-    support::Hash128 Key =
-        support::mixHash(FnKey, static_cast<uint64_t>(Opts.Implications));
-    if (auto Seed = Opts.Cache->findContextSeed(Key))
-      return std::make_unique<CheckContext>(F, Opts.Implications, *Seed, TC);
-    auto Ctx = std::make_unique<CheckContext>(
-        F, Opts.Implications, std::vector<PreheaderFact>{}, TC);
-    Opts.Cache->storeContextSeed(Key, Ctx->makeSeed());
-    return Ctx;
-  }
-
-  /// A loop forest for F's current IR, shared through the cache when
-  /// possible. \p Hold keeps the shared entry alive across the pass that
-  /// uses it; returns null when the caller should let the pass build its
-  /// own (cache off or IR already mutated).
-  const LoopInfo *loops(std::shared_ptr<const cache::LoopArtifacts> &Hold) {
-    if (!cacheUsable())
-      return nullptr;
-    Hold = Opts.Cache->findLoopArtifacts(FnKey);
-    if (!Hold)
-      Hold = Opts.Cache->storeLoopArtifacts(
-          FnKey, std::make_shared<const cache::LoopArtifacts>(F));
-    return &Hold->LI;
-  }
-};
-
 } // namespace
 
 OptimizerStats nascent::optimizeFunction(Function &F,
@@ -192,16 +144,6 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   // PRE-style insertion works on edges: normalise the CFG first.
   F.splitCriticalEdges();
 
-  // The function content key is computed on the normalised IR, once per
-  // (module snapshot, function) — the cache memoises it — and names every
-  // analysis artifact below until an insertion stage mutates the IR.
-  CtxFactory Contexts{F, Opts, TC,
-                      Opts.Cache && !Opts.ModuleKey.isZero()
-                          ? Opts.Cache->functionKey(Opts.ModuleKey, F)
-                          : support::Hash128{},
-                      /*IRDirty=*/false};
-  std::shared_ptr<const cache::LoopArtifacts> LoopsHold;
-
   std::vector<PreheaderFact> Facts;
 
   // Step 1-3: build the universe/CIG and insert checks per scheme.
@@ -209,95 +151,70 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   case PlacementScheme::NI:
     break;
   case PlacementScheme::CS: {
-    auto Ctx = Contexts.make({});
-    Stats.UniverseSize = Ctx->universe().size();
-    Stats.NumFamilies = Ctx->universe().numFamilies();
+    CheckContext Ctx(F, Opts.Implications, {}, TC);
+    Stats.UniverseSize = Ctx.universe().size();
+    Stats.NumFamilies = Ctx.universe().numFamilies();
     obs::TraceScope Scope(TC, "strengthen");
     Stats.ChecksStrengthened =
-        runCheckStrengthening(F, *Ctx, PV).ChecksStrengthened;
-    // Strengthening rewrites check payloads in place and does nothing
-    // else: zero rewrites means the IR is untouched and the elimination
-    // context below may still reuse the pre-stage seed.
-    if (Stats.ChecksStrengthened)
-      Contexts.IRDirty = true;
+        runCheckStrengthening(F, Ctx, PV).ChecksStrengthened;
     break;
   }
   case PlacementScheme::SE:
   case PlacementScheme::LNI: {
-    auto Ctx = Contexts.make({});
-    Stats.UniverseSize = Ctx->universe().size();
-    Stats.NumFamilies = Ctx->universe().numFamilies();
+    CheckContext Ctx(F, Opts.Implications, {}, TC);
+    Stats.UniverseSize = Ctx.universe().size();
+    Stats.NumFamilies = Ctx.universe().numFamilies();
     obs::TraceScope Scope(TC, "lcm-place");
     Stats.ChecksInserted =
-        runLazyCodeMotion(F, *Ctx,
+        runLazyCodeMotion(F, Ctx,
                           Opts.Scheme == PlacementScheme::SE
                               ? LCMPlacement::SafeEarliest
                               : LCMPlacement::LatestNotIsolated,
                           PV)
             .ChecksInserted;
-    // LCM's only IR mutations are the counted insertions.
-    if (Stats.ChecksInserted)
-      Contexts.IRDirty = true;
     break;
   }
   case PlacementScheme::LI:
   case PlacementScheme::LLS:
   case PlacementScheme::MCM: {
-    auto Ctx = Contexts.make({});
-    const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
-    Stats.UniverseSize = Ctx->universe().size();
-    Stats.NumFamilies = Ctx->universe().numFamilies();
+    CheckContext Ctx(F, Opts.Implications, {}, TC);
+    Stats.UniverseSize = Ctx.universe().size();
+    Stats.NumFamilies = Ctx.universe().numFamilies();
     PreheaderOptions PO;
     PO.EnableLLS = Opts.Scheme != PlacementScheme::LI;
     PO.MarksteinRestriction = Opts.Scheme == PlacementScheme::MCM;
     obs::TraceScope Scope(TC, "preheader-insert");
-    PreheaderStats PS =
-        runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
+    PreheaderStats PS = runPreheaderInsertion(F, Ctx, PO, Facts, PV);
     Stats.CondChecksInserted = PS.CondChecksInserted;
     Stats.Rehoisted = PS.Rehoisted;
-    // Preheader insertion mutates only through counted insertions and
-    // rehoists (it never creates blocks; preheaders already exist after
-    // critical-edge splitting), so a zero-work pass keeps the seed valid.
-    if (PS.CondChecksInserted || PS.Rehoisted)
-      Contexts.IRDirty = true;
     break;
   }
   case PlacementScheme::AI: {
-    const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
     obs::TraceScope Scope(TC, "interval-analysis");
-    IntervalStats IS =
-        eliminateChecksByIntervals(F, Diags, PV, CachedLoops);
+    IntervalStats IS = eliminateChecksByIntervals(F, Diags, PV);
     Stats.IntervalDeleted = IS.ChecksProvedRedundant;
     Stats.CompileTimeTraps += IS.ChecksProvedViolating;
-    if (IS.ChecksProvedRedundant || IS.ChecksProvedViolating)
-      Contexts.IRDirty = true;
     break;
   }
   case PlacementScheme::ALL: {
     {
-      auto Ctx = Contexts.make({});
-      const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
-      Stats.UniverseSize = Ctx->universe().size();
-      Stats.NumFamilies = Ctx->universe().numFamilies();
+      CheckContext Ctx(F, Opts.Implications, {}, TC);
+      Stats.UniverseSize = Ctx.universe().size();
+      Stats.NumFamilies = Ctx.universe().numFamilies();
       PreheaderOptions PO;
       obs::TraceScope Scope(TC, "preheader-insert");
-      PreheaderStats PS =
-          runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
+      PreheaderStats PS = runPreheaderInsertion(F, Ctx, PO, Facts, PV);
       Stats.CondChecksInserted = PS.CondChecksInserted;
       Stats.Rehoisted = PS.Rehoisted;
-      if (PS.CondChecksInserted || PS.Rehoisted)
-        Contexts.IRDirty = true;
     }
     {
       // Safe-earliest over the LLS result; the fresh context carries the
       // preheader facts so LCM sees the hoisted availability.
-      auto Ctx = Contexts.make(Facts);
+      CheckContext Ctx(F, Opts.Implications, Facts, TC);
       obs::TraceScope Scope(TC, "lcm-place");
       Stats.ChecksInserted =
-          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PV)
+          runLazyCodeMotion(F, Ctx, LCMPlacement::SafeEarliest, PV)
               .ChecksInserted;
-      if (Stats.ChecksInserted)
-        Contexts.IRDirty = true;
     }
     break;
   }
@@ -309,11 +226,11 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   // the abstract-interpretation school it models performs no insertion
   // and no redundancy elimination (paper section 5).
   if (Opts.Scheme != PlacementScheme::AI) {
-    auto Ctx = Contexts.make(Facts);
-    Stats.UniverseSize = Ctx->universe().size();
-    Stats.NumFamilies = Ctx->universe().numFamilies();
+    CheckContext Ctx(F, Opts.Implications, Facts, TC);
+    Stats.UniverseSize = Ctx.universe().size();
+    Stats.NumFamilies = Ctx.universe().numFamilies();
     obs::TraceScope Scope(TC, "eliminate");
-    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, PV);
+    EliminationStats ES = eliminateRedundantChecks(F, Ctx, PV);
     Stats.ChecksDeleted = ES.ChecksDeleted;
   }
 

@@ -85,12 +85,9 @@ struct RangeCheckOptions {
   /// (see reconcileCheckProvenance).
   obs::ProvenanceRecorder *Provenance = nullptr;
 
-  /// When both are set, the optimizer consults the artifact cache for
-  /// analysis results (CheckContext seeds, dominator/loop forests) keyed
-  /// under ModuleKey — the frontend key of the module being optimized —
-  /// and stores what it computes for the next identical compile
-  /// (docs/caching.md). Telemetry is byte-identical with or without it.
+  /// No src/ code reads this; it goes with rcbench's next change (ROADMAP 4/5).
   cache::ArtifactCache *Cache = nullptr;
+  /// No src/ code reads this; it goes with rcbench's next change (ROADMAP 4/5).
   support::Hash128 ModuleKey;
 };
 

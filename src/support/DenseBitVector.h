@@ -195,18 +195,12 @@ public:
   /// The calling thread's live op count only — no retired total, so a
   /// before/after delta around a single-threaded computation is exact even
   /// while other threads exit (their shard flush mutates the retired
-  /// total). The artifact cache measures build costs this way.
+  /// total).
   static uint64_t threadWordOps() { return WordOpCount; }
 
   /// Folds the calling thread's live op count into the retired total and
   /// zeroes it. Called by the obs-layer thread-shard flush at thread exit.
   static void retireThreadOps();
-
-  /// Adds \p N to the calling thread's live op count. The artifact cache
-  /// (src/cache) uses this to replay the word-op cost of a data-flow build
-  /// it satisfied from a stored seed, keeping the work-proxy gauge
-  /// identical whether a compile recomputed its sets or reused them.
-  static void creditThreadOps(uint64_t N) { WordOpCount += N; }
 
 private:
   size_t numWords() const { return (NumBits + 63) / 64; }
@@ -267,11 +261,6 @@ private:
   size_t Capacity = 0;
   uint64_t Inline = 0;
 };
-
-// The artifact cache charges sizeof(DenseBitVector) per stored vector
-// (cache/ArtifactCache.cpp), so its byte budget depends on this size.
-static_assert(sizeof(DenseBitVector) == 32,
-              "DenseBitVector size is part of the cache's byte accounting");
 
 } // namespace nascent
 

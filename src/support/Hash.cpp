@@ -87,11 +87,3 @@ Hash128 nascent::support::hashBytes(const void *Data, size_t N) {
 Hash128 nascent::support::hashString(const std::string &S) {
   return hashBytes(S.data(), S.size());
 }
-
-Hash128 nascent::support::mixHash(const Hash128 &H, uint64_t Tag) {
-  StableHasher M;
-  M.u64(H.Lo);
-  M.u64(H.Hi);
-  M.u64(Tag);
-  return M.digest();
-}

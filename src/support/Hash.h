@@ -88,10 +88,6 @@ private:
 Hash128 hashBytes(const void *Data, size_t N);
 Hash128 hashString(const std::string &S);
 
-/// Mixes an extra 64-bit tag into an existing key (key derivation, e.g.
-/// analysis key = mix(function content key, implication mode)).
-Hash128 mixHash(const Hash128 &H, uint64_t Tag);
-
 } // namespace support
 } // namespace nascent
 

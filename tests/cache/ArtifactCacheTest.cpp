@@ -4,8 +4,9 @@
 /// Unit tests for the content-addressed artifact cache (docs/caching.md):
 /// key stability and discrimination, first-store-wins sharing, FIFO
 /// eviction under a byte budget (with evicted entries surviving through
-/// held references), and exact hit/miss reconciliation when the pipeline
-/// compiles the same source repeatedly.
+/// held references), exact hit/miss reconciliation when the pipeline
+/// compiles the same source repeatedly, and single-flight builds when it
+/// compiles one source on many threads at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,11 @@
 #include "support/Hash.h"
 
 #include "gtest/gtest.h"
+
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace nascent;
 using support::Hash128;
@@ -30,8 +36,8 @@ TEST(ArtifactCache, FrontendKeyIsStableAndDiscriminates) {
   EXPECT_EQ(A.hex().size(), 32u);
 
   // Any key component changing must change the key: the source bytes,
-  // each lowering option, and the check-source kind (PRX vs INX share a
-  // snapshot shape but must not share function-key memo entries).
+  // each lowering option, and the check-source kind (PRX and INX compiles
+  // of one source keep separate entries).
   EXPECT_NE(cache::hashFrontendKey("program q\nend program", L, 0), A);
   LoweringOptions NoChecks = L;
   NoChecks.InsertChecks = false;
@@ -53,71 +59,31 @@ TEST(ArtifactCache, StableHasherIsOrderAndLengthSensitive) {
   EXPECT_EQ(H3.digest(), H3.digest());
 }
 
-TEST(ArtifactCache, FunctionContentKeyTracksIRContent) {
-  const SuiteProgram *P = findSuiteProgram("vortex");
-  ASSERT_NE(P, nullptr);
+/// The verified post-lowering module of a suite program, as the pipeline
+/// would store it.
+std::unique_ptr<const Module> frontendSnapshot(const char *Name) {
+  const SuiteProgram *P = findSuiteProgram(Name);
+  EXPECT_NE(P, nullptr);
   PipelineOptions PO;
   PO.Optimize = false;
   CompileResult R = compileSource(P->Source, PO);
-  ASSERT_TRUE(R.Success);
-  Function *F = R.M->functions().front();
-
-  // Identical clones hash identically — the property that lets one
-  // analysis build serve every grid cell over the same snapshot.
-  std::unique_ptr<Module> Clone = R.M->clone();
-  EXPECT_EQ(cache::hashFunctionContent(*F),
-            cache::hashFunctionContent(*Clone->functions().front()));
-
-  // Any divergence — here a single instruction's source location, one of
-  // the subtlest fields (it only affects diagnostics and provenance
-  // output, not execution) — must change the key.
-  Function *CF = Clone->functions().front();
-  ASSERT_NE(CF->numBlocks(), 0u);
-  BasicBlock &BB = **CF->begin();
-  ASSERT_FALSE(BB.instructions().empty());
-  BB.instructions().front().Loc.Line += 1;
-  EXPECT_NE(cache::hashFunctionContent(*F), cache::hashFunctionContent(*CF));
-}
-
-TEST(ArtifactCache, FunctionKeyMemoisesPerModule) {
-  const SuiteProgram *P = findSuiteProgram("vortex");
-  ASSERT_NE(P, nullptr);
-  PipelineOptions PO;
-  PO.Optimize = false;
-  CompileResult R = compileSource(P->Source, PO);
-  ASSERT_TRUE(R.Success);
-  Function *F = R.M->functions().front();
-
-  cache::ArtifactCache C;
-  Hash128 ModuleKey = cache::hashFrontendKey(P->Source, {}, 0);
-  Hash128 K1 = C.functionKey(ModuleKey, *F);
-  Hash128 K2 = C.functionKey(ModuleKey, *F);
-  EXPECT_EQ(K1, K2);
-  EXPECT_EQ(K1, cache::hashFunctionContent(*F));
-  // Different module key, same function: distinct memo slots, same
-  // content hash.
-  Hash128 OtherModule = cache::hashFrontendKey(P->Source, {}, 1);
-  EXPECT_EQ(C.functionKey(OtherModule, *F), K1);
+  EXPECT_TRUE(R.Success);
+  return std::move(R.M);
 }
 
 TEST(ArtifactCache, FirstStoreWinsAndEntriesAreShared) {
-  const SuiteProgram *P = findSuiteProgram("vortex");
-  ASSERT_NE(P, nullptr);
-  PipelineOptions PO;
-  PO.Optimize = false;
-  CompileResult R = compileSource(P->Source, PO);
-  ASSERT_TRUE(R.Success);
-  const Function &F = *R.M->functions().front();
-
   cache::ArtifactCache C;
   Hash128 Key{1, 2};
-  auto First = std::make_shared<const cache::LoopArtifacts>(F);
-  auto Second = std::make_shared<const cache::LoopArtifacts>(F);
-  EXPECT_EQ(C.storeLoopArtifacts(Key, First), First);
+  std::unique_ptr<const Module> First = frontendSnapshot("vortex");
+  const Module *FirstPtr = First.get();
+  C.storeFrontend(Key, std::move(First));
   // A concurrent duplicate build stores second: the original entry wins
   // so every reader shares one artifact.
-  EXPECT_EQ(C.storeLoopArtifacts(Key, Second), First);
-  EXPECT_EQ(C.findLoopArtifacts(Key), First);
+  C.storeFrontend(Key, frontendSnapshot("vortex"));
+  std::shared_ptr<const cache::FrontendArtifact> A = C.findFrontend(Key);
+  ASSERT_NE(A, nullptr);
+  EXPECT_EQ(A->Snapshot.get(), FirstPtr);
+  EXPECT_EQ(C.findFrontend(Key), A);
 }
 
 TEST(ArtifactCache, EvictionIsFifoWithinBudgetAndKeepsLiveReaders) {
@@ -127,38 +93,37 @@ TEST(ArtifactCache, EvictionIsFifoWithinBudgetAndKeepsLiveReaders) {
   cache::ArtifactCache C(/*MaxBytes=*/16);
   Hash128 K1{16, 0}, K2{32, 0}, K3{48, 0};
 
-  C.storeContextSeed(K1, cache::ContextSeed{});
-  std::shared_ptr<const cache::ContextSeed> Held = C.findContextSeed(K1);
+  C.storeFrontend(K1, frontendSnapshot("vortex"));
+  std::shared_ptr<const cache::FrontendArtifact> Held = C.findFrontend(K1);
   ASSERT_NE(Held, nullptr);
 
-  C.storeContextSeed(K2, cache::ContextSeed{});
-  C.storeContextSeed(K3, cache::ContextSeed{});
+  C.storeFrontend(K2, frontendSnapshot("vortex"));
+  C.storeFrontend(K3, frontendSnapshot("vortex"));
 
   cache::ArtifactCache::Stats S = C.stats();
   EXPECT_EQ(S.Evictions, 2u);
   // Oldest entries are gone, the newest survives (the just-stored entry
   // is never evicted, even over budget).
-  EXPECT_EQ(C.findContextSeed(K1), nullptr);
-  EXPECT_EQ(C.findContextSeed(K2), nullptr);
-  EXPECT_NE(C.findContextSeed(K3), nullptr);
+  EXPECT_EQ(C.findFrontend(K1), nullptr);
+  EXPECT_EQ(C.findFrontend(K2), nullptr);
+  EXPECT_NE(C.findFrontend(K3), nullptr);
   // The held reference outlives the eviction.
-  EXPECT_EQ(Held->BuildWordOps, 0u);
+  EXPECT_FALSE(Held->Snapshot->functions().empty());
+  EXPECT_EQ(Held->Bytes, cache::approxModuleBytes(*Held->Snapshot));
 
   C.clear();
-  EXPECT_EQ(C.findContextSeed(K3), nullptr);
+  EXPECT_EQ(C.findFrontend(K3), nullptr);
   EXPECT_EQ(C.stats().Bytes, 0u);
 }
 
 TEST(ArtifactCache, PipelineHitsAndMissesReconcileExactly) {
-  // K identical compiles against a fresh cache: the first misses every
-  // tier it touches, each later compile repeats exactly the same lookups
-  // as hits. NI builds exactly one cacheable elimination context per
-  // function and no loop artifacts, so the arithmetic is exact.
+  // K identical compiles against a fresh cache: the first misses, each
+  // later compile hits. The cache has no other tier, so that is every
+  // lookup there is.
   const SuiteProgram *P = findSuiteProgram("vortex");
   ASSERT_NE(P, nullptr);
   cache::ArtifactCache C;
   constexpr unsigned K = 4;
-  uint64_t NumFunctions = 0;
   for (unsigned I = 0; I != K; ++I) {
     PipelineOptions PO;
     PO.Opt.Scheme = PlacementScheme::NI;
@@ -166,23 +131,123 @@ TEST(ArtifactCache, PipelineHitsAndMissesReconcileExactly) {
     PO.Cache.Cache = &C;
     CompileResult R = compileSource(P->Source, PO);
     ASSERT_TRUE(R.Success);
-    NumFunctions = R.M->functions().size();
   }
   cache::ArtifactCache::Stats S = C.stats();
   EXPECT_EQ(S.FrontendMisses, 1u);
   EXPECT_EQ(S.FrontendHits, K - 1);
-  EXPECT_EQ(S.ContextMisses, NumFunctions);
-  EXPECT_EQ(S.ContextHits, (K - 1) * NumFunctions);
-  EXPECT_EQ(S.LoopMisses, 0u);
-  EXPECT_EQ(S.LoopHits, 0u);
   EXPECT_GT(S.Bytes, 0u);
 
   C.resetStats();
   S = C.stats();
-  EXPECT_EQ(S.FrontendHits + S.FrontendMisses + S.analysisHits() +
-                S.analysisMisses() + S.Evictions,
-            0u);
+  EXPECT_EQ(S.FrontendHits + S.FrontendMisses + S.Evictions, 0u);
   EXPECT_GT(S.Bytes, 0u); // resetStats keeps the contents (and the gauge)
+}
+
+TEST(ArtifactCache, ConcurrentCompilesOfOneSourceBuildItOnce) {
+  // N threads released together compile one source against one fresh
+  // cache. The first lookup claims the key and the rest wait for its
+  // build, so the frontend is built exactly once whatever the schedule.
+  // The source is large enough (500 loops, a few ms to build) that the
+  // threads' lookups overlap the first build even when the scheduler
+  // time-slices them on one core.
+  std::string Source = "program big\n  integer i, n\n  real a(100)\n  n = 90\n";
+  for (unsigned L = 0; L != 500; ++L)
+    Source += "  do i = 1, n\n    a(i) = real(i) * 0.5 + a(i + " +
+              std::to_string(L % 10) + ")\n  end do\n";
+  Source += "  print a(45)\nend program\n";
+  cache::ArtifactCache C;
+  constexpr unsigned N = 8;
+  std::atomic<unsigned> Arrived{0};
+  std::atomic<unsigned> Succeeded{0};
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != N; ++I)
+    Threads.emplace_back([&] {
+      PipelineOptions PO;
+      PO.Optimize = false;
+      PO.Cache.Enabled = true;
+      PO.Cache.Cache = &C;
+      ++Arrived;
+      while (Arrived.load() != N)
+        std::this_thread::yield();
+      if (compileSource(Source, PO).Success)
+        ++Succeeded;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Succeeded.load(), N);
+  cache::ArtifactCache::Stats S = C.stats();
+  EXPECT_EQ(S.FrontendMisses, 1u);
+  EXPECT_EQ(S.FrontendHits, N - 1);
+}
+
+TEST(ArtifactCache, ConcurrentCompilesOfABrokenSourceEachReportIt) {
+  // A compile that fails stores nothing: its claim is released on the
+  // early return, so no thread waits forever and each reports the error.
+  const std::string Source = "program broken\n  integer\nend program\n";
+  cache::ArtifactCache C;
+  constexpr unsigned N = 4;
+  std::atomic<unsigned> Failed{0};
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I != N; ++I)
+    Threads.emplace_back([&] {
+      PipelineOptions PO;
+      PO.Cache.Enabled = true;
+      PO.Cache.Cache = &C;
+      CompileResult R = compileSource(Source, PO);
+      if (!R.Success && R.Diags.hasErrors())
+        ++Failed;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failed.load(), N);
+  cache::ArtifactCache::Stats S = C.stats();
+  EXPECT_EQ(S.FrontendMisses, N);
+  EXPECT_EQ(S.FrontendHits, 0u);
+  EXPECT_EQ(S.Bytes, 0u);
+}
+
+TEST(ArtifactCache, ReleasedClaimLetsWaitersBuildForThemselves) {
+  // A build that stores nothing (a compile with diagnostics) releases its
+  // claim: a lookup waiting on the key, or arriving after, gets nothing
+  // and counts a miss, and the key can be claimed and stored again.
+  cache::ArtifactCache C;
+  Hash128 Key{7, 7};
+  cache::ArtifactCache::FrontendClaim Claim;
+  EXPECT_EQ(C.findFrontend(Key, Claim), nullptr);
+  std::shared_ptr<const cache::FrontendArtifact> Seen;
+  std::thread Waiter([&] { Seen = C.findFrontend(Key); });
+  Claim.release();
+  Waiter.join();
+  EXPECT_EQ(Seen, nullptr);
+  EXPECT_EQ(C.stats().FrontendMisses, 2u);
+
+  cache::ArtifactCache::FrontendClaim Again;
+  EXPECT_EQ(C.findFrontend(Key, Again), nullptr);
+  C.storeFrontend(Key, frontendSnapshot("vortex"));
+  EXPECT_NE(C.findFrontend(Key), nullptr);
+  cache::ArtifactCache::Stats S = C.stats();
+  EXPECT_EQ(S.FrontendMisses, 3u);
+  EXPECT_EQ(S.FrontendHits, 1u);
+}
+
+TEST(ArtifactCache, LookupWaitsForTheClaimedBuild) {
+  // A lookup that arrives while a claimed build is in flight returns the
+  // snapshot that build stores, and counts a hit.
+  cache::ArtifactCache C;
+  Hash128 Key{9, 9};
+  cache::ArtifactCache::FrontendClaim Claim;
+  EXPECT_EQ(C.findFrontend(Key, Claim), nullptr);
+  std::shared_ptr<const cache::FrontendArtifact> Seen;
+  std::thread Waiter([&] { Seen = C.findFrontend(Key); });
+  std::unique_ptr<const Module> M = frontendSnapshot("vortex");
+  const Module *Stored = M.get();
+  C.storeFrontend(Key, std::move(M));
+  Waiter.join();
+  ASSERT_NE(Seen, nullptr);
+  EXPECT_EQ(Seen->Snapshot.get(), Stored);
+  cache::ArtifactCache::Stats S = C.stats();
+  EXPECT_EQ(S.FrontendMisses, 1u);
+  EXPECT_EQ(S.FrontendHits, 1u);
 }
 
 } // namespace
