@@ -306,15 +306,15 @@ int main(int argc, char **argv) {
     return 0;
   }
 
+  // Residual-check remarks read their dynamic counts from a profile, so
+  // -remarks profiles the run even when no profile is printed.
+  if (PO.Telemetry.Remarks && !R.Profile.attached())
+    R.Profile.attach(*R.M);
   ExecResult E;
   {
     obs::TraceScope Scope(&R.Trace, "interpret");
     InterpOptions IO;
-    // Joining dynamic counts onto residual-check remarks needs per-site
-    // counters.
-    IO.CountCheckSites = PO.Telemetry.Remarks;
-    if (PO.Telemetry.Profile)
-      IO.Profile = &R.Profile;
+    IO.Profile = &R.Profile;
     E = interpret(*R.M, IO);
   }
   if (!Quiet)
@@ -322,7 +322,7 @@ int main(int argc, char **argv) {
       std::printf("%s\n", Line.c_str());
 
   if (PO.Telemetry.Remarks) {
-    emitResidualCheckRemarks(*R.M, E.CheckSites, R.Remarks);
+    emitResidualCheckRemarks(*R.M, R.Profile, R.Remarks);
     R.Remarks.renderText(std::cerr);
   }
 

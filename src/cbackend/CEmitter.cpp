@@ -1,81 +1,32 @@
 #include "cbackend/CEmitter.h"
 
+#include "obs/Profile.h"
 #include "support/StringUtils.h"
 
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <set>
 
 using namespace nascent;
 
 namespace {
 
-/// Global profile-counter layout: every check site, block, and array of
-/// the module gets one slot in a static counter table, enumerated in
-/// deterministic (function, block id, instruction index) order — the same
-/// order obs::ExecutionProfile::attach uses, so the atexit dump lines and
-/// the interpreter profile line up site for site.
-struct ProfileTables {
-  struct Site {
-    std::string Func;
-    BlockID Block;
-    uint32_t Index;
-    CheckTag Tag;
-  };
-  struct Block {
-    std::string Func;
-    BlockID Id;
-    std::string Name;
-  };
-  struct Arr {
-    std::string Func;
-    std::string Name;
-  };
-  std::vector<Site> Sites;
-  std::vector<Block> Blocks;
-  std::vector<Arr> Arrays;
-
-  /// Per-function lookup for the emitter's hot path.
-  struct FnSlots {
-    size_t BlockBase = 0;
-    std::map<std::pair<BlockID, uint32_t>, size_t> SiteAt;
-    std::map<SymbolID, size_t> ArrayAt;
-  };
-  std::map<std::string, FnSlots> ByFunc;
-
-  static ProfileTables build(const Module &M) {
-    ProfileTables T;
-    for (const Function *F : M.functions()) {
-      FnSlots &S = T.ByFunc[F->name()];
-      S.BlockBase = T.Blocks.size();
-      for (const auto &BB : *F)
-        T.Blocks.push_back({F->name(), BB->id(), BB->name()});
-      for (SymbolID Sym = 0; Sym != F->symbols().size(); ++Sym)
-        if (F->symbols().get(Sym).isArray()) {
-          S.ArrayAt[Sym] = T.Arrays.size();
-          T.Arrays.push_back({F->name(), F->symbols().get(Sym).Name});
-        }
-      for (const auto &BB : *F) {
-        const auto &Insts = BB->instructions();
-        for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx)
-          if (Insts[Idx].isRangeCheck()) {
-            S.SiteAt[{BB->id(), Idx}] = T.Sites.size();
-            T.Sites.push_back({F->name(), BB->id(), Idx, Insts[Idx].Tag});
-          }
-      }
-    }
-    return T;
-  }
+/// Where one function's profile counters start in the module-wide
+/// tables. The tables hold the attached obs::ExecutionProfile's sites,
+/// blocks and arrays, function after function, so the atexit dump lines
+/// up with the interpreter's profile entry for entry.
+struct CounterBase {
+  size_t Fn = 0; ///< index into ExecutionProfile::functions()
+  size_t Site = 0, Block = 0, Array = 0;
 };
 
 /// Per-function emission context.
 class FunctionEmitter {
 public:
   FunctionEmitter(const Module &M, const Function &F,
-                  const ProfileTables *PT = nullptr)
-      : M(M), F(F), PT(PT),
-        Slots(PT ? &PT->ByFunc.at(F.name()) : nullptr) {}
+                  const obs::ExecutionProfile *Prof = nullptr,
+                  CounterBase Base = {})
+      : M(M), F(F), Prof(Prof), Base(Base) {}
 
   /// C-safe name of a symbol: user variables become v_<name>, temps keep
   /// a t<N> shape ("%t3" -> "t3"), arrays become a_<name>.
@@ -194,9 +145,9 @@ public:
     Out += "  goto bb0;\n";
     for (const auto &BB : F) {
       Out += "bb" + std::to_string(BB->id()) + ": ;\n";
-      if (Slots)
+      if (Prof)
         Out += "  nck_count(&nck_blocks[" +
-               std::to_string(Slots->BlockBase + BB->id()) + "]);\n";
+               std::to_string(Base.Block + BB->id()) + "]);\n";
       const auto &Insts = BB->instructions();
       for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx)
         Out += emitInstruction(Insts[Idx], BB->id(), Idx);
@@ -297,8 +248,10 @@ private:
     // (even when CondCheck guards are false, matching the interpreter's
     // noteCheck), the trap counter right before the trap exit.
     size_t SiteSlot = ~size_t(0);
-    if (Slots && I.isRangeCheck()) {
-      SiteSlot = Slots->SiteAt.at({Block, Idx});
+    if (Prof && I.isRangeCheck()) {
+      int32_t Site = Prof->siteIndex(Base.Fn, Block, Idx);
+      assert(Site >= 0 && "profile attached to this module");
+      SiteSlot = Base.Site + Site;
       Line("nck_count(&nck_site_hits[" + std::to_string(SiteSlot) + "]);");
     }
     std::string TrapProfile =
@@ -367,18 +320,16 @@ private:
       const Symbol &A = F.symbols().get(I.Array);
       Line(symName(I.Dest) + " = " + symName(I.Array) + "[" +
            flatIndex(A, I.Indices) + "];");
-      if (Slots)
-        Line("nck_count(&nck_arr_loads[" +
-             std::to_string(Slots->ArrayAt.at(I.Array)) + "]);");
+      if (Prof)
+        Line("nck_count(&nck_arr_loads[" + arraySlot(I.Array) + "]);");
       break;
     }
     case Opcode::Store: {
       const Symbol &A = F.symbols().get(I.Array);
       Line(symName(I.Array) + "[" + flatIndex(A, I.Indices) + "] = " +
            operand(I.Operands[0]) + ";");
-      if (Slots)
-        Line("nck_count(&nck_arr_stores[" +
-             std::to_string(Slots->ArrayAt.at(I.Array)) + "]);");
+      if (Prof)
+        Line("nck_count(&nck_arr_stores[" + arraySlot(I.Array) + "]);");
       break;
     }
     case Opcode::Check:
@@ -464,54 +415,66 @@ private:
     return Out;
   }
 
+  /// The counter slot of array symbol \p Array.
+  std::string arraySlot(SymbolID Array) const {
+    int32_t Slot = Prof->arrayIndex(Base.Fn, Array);
+    assert(Slot >= 0 && "loads and stores name arrays");
+    return std::to_string(Base.Array + Slot);
+  }
+
   const Module &M;
   const Function &F;
-  const ProfileTables *PT = nullptr;
-  const ProfileTables::FnSlots *Slots = nullptr;
+  const obs::ExecutionProfile *Prof = nullptr;
+  CounterBase Base;
 };
 
 /// The static counter tables, the saturating bump helper, and the atexit
-/// dump. Every table has at least one slot so empty modules stay valid C.
-std::string emitProfileRuntime(const ProfileTables &T) {
+/// dump, laid out from \p P. Every table has at least one slot so empty
+/// modules stay valid C.
+std::string emitProfileRuntime(const obs::ExecutionProfile &P) {
+  size_t Blocks = 0, Arrays = 0;
+  for (const obs::FunctionProfile &FP : P.functions()) {
+    Blocks += FP.BlockCounts.size();
+    Arrays += FP.Arrays.size();
+  }
   auto Dim = [](size_t N) { return std::to_string(N ? N : 1); };
   std::string Out;
   Out += "/* Execution-profile counter tables: one slot per check site, "
          "block, and array. */\n";
-  Out += "static unsigned long long nck_site_hits[" + Dim(T.Sites.size()) +
-         "], nck_site_traps[" + Dim(T.Sites.size()) + "];\n";
-  Out += "static unsigned long long nck_blocks[" + Dim(T.Blocks.size()) +
-         "];\n";
-  Out += "static unsigned long long nck_arr_loads[" +
-         Dim(T.Arrays.size()) + "], nck_arr_stores[" +
-         Dim(T.Arrays.size()) + "];\n\n";
+  Out += "static unsigned long long nck_site_hits[" + Dim(P.residualSites()) +
+         "], nck_site_traps[" + Dim(P.residualSites()) + "];\n";
+  Out += "static unsigned long long nck_blocks[" + Dim(Blocks) + "];\n";
+  Out += "static unsigned long long nck_arr_loads[" + Dim(Arrays) +
+         "], nck_arr_stores[" + Dim(Arrays) + "];\n\n";
   Out += "static void nck_count(unsigned long long *C) {\n"
          "  if (*C != 0xFFFFFFFFFFFFFFFFULL) ++*C; /* saturate, don't wrap "
          "*/\n}\n\n";
   Out += "static void nck_profile_dump(void) {\n";
-  for (size_t I = 0; I != T.Sites.size(); ++I) {
-    const ProfileTables::Site &S = T.Sites[I];
-    Out += "  fprintf(stderr, \"[nascent-profsite] func=" + S.Func +
-           " block=" + std::to_string(S.Block) +
-           " index=" + std::to_string(S.Index) +
-           " tag=" + std::to_string(S.Tag) +
-           " hits=%llu traps=%llu\\n\", nck_site_hits[" +
-           std::to_string(I) + "], nck_site_traps[" + std::to_string(I) +
-           "]);\n";
-  }
-  for (size_t I = 0; I != T.Blocks.size(); ++I) {
-    const ProfileTables::Block &B = T.Blocks[I];
-    Out += "  fprintf(stderr, \"[nascent-profblock] func=" + B.Func +
-           " block=" + std::to_string(B.Id) +
-           " count=%llu\\n\", nck_blocks[" + std::to_string(I) + "]);\n";
-  }
-  for (size_t I = 0; I != T.Arrays.size(); ++I) {
-    const ProfileTables::Arr &A = T.Arrays[I];
-    Out += "  fprintf(stderr, \"[nascent-profarray] func=" + A.Func +
-           " array=" + A.Name +
-           " loads=%llu stores=%llu\\n\", nck_arr_loads[" +
-           std::to_string(I) + "], nck_arr_stores[" + std::to_string(I) +
-           "]);\n";
-  }
+  size_t Slot = 0;
+  for (const obs::FunctionProfile &FP : P.functions())
+    for (const obs::CheckSiteProfile &S : FP.Sites) {
+      std::string K = std::to_string(Slot++);
+      Out += "  fprintf(stderr, \"[nascent-profsite] func=" + FP.Name +
+             " block=" + std::to_string(S.Block) +
+             " index=" + std::to_string(S.Index) +
+             " tag=" + std::to_string(S.Tag) +
+             " hits=%llu traps=%llu\\n\", nck_site_hits[" + K +
+             "], nck_site_traps[" + K + "]);\n";
+    }
+  Slot = 0;
+  for (const obs::FunctionProfile &FP : P.functions())
+    for (size_t B = 0; B != FP.BlockCounts.size(); ++B)
+      Out += "  fprintf(stderr, \"[nascent-profblock] func=" + FP.Name +
+             " block=" + std::to_string(B) + " count=%llu\\n\", nck_blocks[" +
+             std::to_string(Slot++) + "]);\n";
+  Slot = 0;
+  for (const obs::FunctionProfile &FP : P.functions())
+    for (const obs::ArrayProfile &A : FP.Arrays) {
+      std::string K = std::to_string(Slot++);
+      Out += "  fprintf(stderr, \"[nascent-profarray] func=" + FP.Name +
+             " array=" + A.Name + " loads=%llu stores=%llu\\n\", "
+             "nck_arr_loads[" + K + "], nck_arr_stores[" + K + "]);\n";
+    }
   Out += "}\n\n";
   return Out;
 }
@@ -520,16 +483,16 @@ std::string emitProfileRuntime(const ProfileTables &T) {
 
 std::string nascent::emitModuleToC(const Module &M,
                                    const CEmitOptions &Opts) {
-  ProfileTables PT;
+  obs::ExecutionProfile Layout;
   if (Opts.Profile)
-    PT = ProfileTables::build(M);
+    Layout.attach(M);
   std::string Out;
   Out += "/* Generated by nascent-rangecheck's instrumented-C back end. */\n";
   Out += "#include <stdio.h>\n#include <stdlib.h>\n\n";
   Out += "static unsigned long long nck_instrs = 0, nck_checks = 0, "
          "nck_condchecks = 0;\n\n";
   if (Opts.Profile)
-    Out += emitProfileRuntime(PT);
+    Out += emitProfileRuntime(Layout);
   Out += "static void nck_report(void) {\n"
          "  fprintf(stderr, \"[nascent-counts] instrs=%llu checks=%llu "
          "condchecks=%llu\\n\",\n"
@@ -570,11 +533,19 @@ std::string nascent::emitModuleToC(const Module &M,
   }
   Out += "\n";
 
+  CounterBase Base;
   for (const Function *F : M.functions()) {
-    FunctionEmitter FE(M, *F, Opts.Profile ? &PT : nullptr);
+    FunctionEmitter FE(M, *F, Opts.Profile ? &Layout : nullptr, Base);
     Out += "static " + FE.signature() + " {\n";
     Out += FE.emitBody();
     Out += "}\n\n";
+    if (Opts.Profile) {
+      const obs::FunctionProfile &FP = Layout.functions()[Base.Fn];
+      Base.Site += FP.Sites.size();
+      Base.Block += FP.BlockCounts.size();
+      Base.Array += FP.Arrays.size();
+    }
+    ++Base.Fn;
   }
 
   Out += "int main(void) {\n";

@@ -17,10 +17,11 @@
 /// stderr and exits with status 2.
 ///
 /// With CEmitOptions::Profile the program additionally carries a static
-/// counter table (saturating, like the interpreter's profile counters)
-/// and an atexit dump that emits one stderr line per check site, block,
-/// and array — the compiled-execution half of the obs::ExecutionProfile
-/// parity contract (docs/profiling.md):
+/// counter table (saturating, like the interpreter's profile counters),
+/// laid out from an obs::ExecutionProfile attached to the module, and an
+/// atexit dump that emits one stderr line per check site, block, and
+/// array of that profile — the compiled-execution half of its parity
+/// contract (docs/profiling.md):
 ///
 ///   [nascent-profsite] func=<f> block=<b> index=<i> tag=<t> hits=<h> traps=<t>
 ///   [nascent-profblock] func=<f> block=<b> count=<c>

@@ -109,8 +109,8 @@ static_assert(static_cast<unsigned>(XOp::GeIBr) -
 
 /// One decoded operation. Operands are frame-slot indices: symbols keep
 /// their SymbolID, constants live in the slots after them. The site
-/// coordinates (Block, Index, Tag) name the IR instruction the op came
-/// from, for fault messages, the profiler, and check-site counts.
+/// coordinates (Block, Index) name the IR instruction the op came from,
+/// for fault messages and the profiler.
 ///
 /// A fused op stands in place of the first op of its pair and carries
 /// that op's operands, cost and site; the second op stays unchanged right
@@ -128,7 +128,6 @@ struct Op {
   int64_t Coeff = 0, Bound = 0;
   BlockID Block = 0;
   uint32_t Index = 0;
-  CheckTag Tag = NoCheckTag;
 };
 
 /// One canonical check "sum of terms <= Bound", its terms a range of the
@@ -173,8 +172,6 @@ struct DecodedFunction {
   std::vector<SymbolID> LocalArrays;
   /// Index into the attached profile's functions (NoFunction when none).
   size_t ProfileFn = obs::ExecutionProfile::NoFunction;
-  /// Check executions per op (CountCheckSites only).
-  std::vector<uint64_t> SiteHits;
 };
 
 /// One call frame.
@@ -224,7 +221,6 @@ public:
         O.Cost = static_cast<uint32_t>(instructionCost(Instrs[Idx]));
         assert((O.Cost == 1 || O.Code == XOp::Load || O.Code == XOp::Store) &&
                "Counters::ops() assumes unit cost");
-        O.Tag = Instrs[Idx].Tag;
         DF.Ops.push_back(O);
         for (size_t K = First; K != DF.Ops.size(); ++K) {
           DF.Ops[K].Block = B;
@@ -553,7 +549,7 @@ public:
     Cell Dummy;
     Frame Fr;
     makeFrame(DF, Fr);
-    if (Prof || Opts.CountCheckSites)
+    if (Prof)
       run<true>(DF, Fr, Dummy, 0);
     else
       run<false>(DF, Fr, Dummy, 0);
@@ -563,25 +559,6 @@ public:
   }
 
   uint64_t opsExecuted() const { return Cnt.ops(); }
-
-  /// Per-site check execution tallies (CountCheckSites only), ordered by
-  /// (function in module order, block, instruction index).
-  std::vector<obs::CheckSiteCount> checkSites() const {
-    std::vector<obs::CheckSiteCount> Sites;
-    for (const Function *F : M.functions()) {
-      auto It = Decoded.find(F);
-      if (It == Decoded.end())
-        continue;
-      // Ops run in block and instruction order, so the sites come out
-      // sorted.
-      const DecodedFunction &DF = *It->second;
-      for (size_t Pc = 0; Pc != DF.SiteHits.size(); ++Pc)
-        if (DF.SiteHits[Pc] != 0)
-          Sites.push_back({F->name(), DF.Ops[Pc].Block, DF.Ops[Pc].Index,
-                           DF.SiteHits[Pc], DF.Ops[Pc].Tag});
-    }
-    return Sites;
-  }
 
 private:
   /// \p F's decoded form, decoding it on first use.
@@ -593,8 +570,6 @@ private:
       Decoder(M, *DF).run();
       if (Prof)
         DF->ProfileFn = Prof->functionIndex(F);
-      if (Opts.CountCheckSites)
-        DF->SiteHits.assign(DF->Ops.size(), 0);
     }
     return *DF;
   }
@@ -874,8 +849,8 @@ void Executor::run(DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
 /// Every op is charged its cost before it runs. A fused op charges each
 /// half before that half runs, and when the step limit falls between the
 /// halves it moves on to the second, unfused, which stops there; so the
-/// counters, the step limit and every fault, profile hook and site count
-/// see the IR's operations, not the dispatches.
+/// counters, the step limit and every fault and profile hook see the IR's
+/// operations, not the dispatches.
 template <bool Observed>
 Executor::Stop Executor::exec(DecodedFunction &DF, Frame &Fr, const Op *&At,
                               Cell &ResultOut, obs::ExecutionProfile *P,
@@ -936,9 +911,6 @@ Executor::Stop Executor::exec(DecodedFunction &DF, Frame &Fr, const Op *&At,
 #define CHECK1(K)                                                              \
   do {                                                                         \
     ++Cnt.Checks;                                                              \
-    if constexpr (Observed)                                                    \
-      if (Opts.CountCheckSites)                                                \
-        obs::saturatingInc(DF.SiteHits[(K) - Code]);                           \
     bool Traps = !(wrapMul((K)->Coeff, S[(K)->A].I) <= (K)->Bound);            \
     if constexpr (Observed)                                                    \
       if (P)                                                                   \
@@ -1044,9 +1016,6 @@ DoStore: {
 }
 DoCheck: {
   ++Cnt.Checks;
-  if constexpr (Observed)
-    if (Opts.CountCheckSites)
-      obs::saturatingInc(DF.SiteHits[O - Code]);
   bool Traps = !holds(DF, S, DF.Checks[O->X]);
   if constexpr (Observed)
     if (P)
@@ -1058,9 +1027,6 @@ DoCheck: {
 DoCondCheck: {
   ++Cnt.Checks;
   ++Cnt.CondChecks;
-  if constexpr (Observed)
-    if (Opts.CountCheckSites)
-      obs::saturatingInc(DF.SiteHits[O - Code]);
   bool GuardsHold = true;
   for (uint32_t G = 1; G <= O->B; ++G)
     if (!holds(DF, S, DF.Checks[O->X + G])) {
@@ -1151,7 +1117,6 @@ ExecResult nascent::interpret(const Module &M, const InterpOptions &Opts) {
   }
   Executor E(M, Opts, R);
   E.runEntry(*Entry);
-  R.CheckSites = E.checkSites();
   if (Opts.Profile && Opts.Profile->attached())
     Opts.Profile->noteRun(R.St == ExecResult::Status::Trapped);
   ++NumRuns;

@@ -15,11 +15,15 @@
 /// checks and fuses adjacent pairs of ops within a block (an integer
 /// compare and its branch, two one-term checks, an add and a jump); one
 /// threaded, computed-goto dispatch loop runs the result. Every op keeps
-/// its instruction's cost (instructionCost) and site (block, index, check
-/// tag), and a fused op charges and observes each half as its own
-/// operation, so the counters, the step limit, fault messages, profile
-/// and check-site counts are those of the IR. Nothing is cached across
-/// calls.
+/// its instruction's cost (instructionCost) and site (block and
+/// instruction index), and a fused op charges and observes each half as
+/// its own operation, so the counters, the step limit, fault messages and
+/// the profile are those of the IR. Nothing is cached across calls.
+///
+/// The loop exists in two copies: an unobserved one, and an observed one
+/// that runs only when an obs::ExecutionProfile is attached and streams
+/// every block entry, array access and check execution into it. The
+/// profile is the interpreter's only per-site record.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +31,6 @@
 #define NASCENT_INTERP_INTERPRETER_H
 
 #include "ir/Function.h"
-#include "obs/Remarks.h"
 
 #include <cstdint>
 #include <string>
@@ -45,10 +48,6 @@ struct InterpOptions {
   uint64_t MaxSteps = 2'000'000'000;
   /// Maximum call depth.
   unsigned MaxCallDepth = 256;
-  /// Record per-site execution counts of range checks into
-  /// ExecResult::CheckSites (for joining into the remark stream); off by
-  /// default because it adds a counter update per executed check.
-  bool CountCheckSites = false;
   /// When non-null and attached to the module being run, the interpreter
   /// streams block frequencies, loop trip counts, array accesses, and
   /// per-site check hits/traps into this profile. Counts accumulate
@@ -82,10 +81,6 @@ struct ExecResult {
 
   /// Values printed by Print instructions, in order.
   std::vector<std::string> Output;
-
-  /// Per-site dynamic check counts (only with CountCheckSites); sites the
-  /// run never reached are absent.
-  std::vector<obs::CheckSiteCount> CheckSites;
 
   /// Populated whenever St != Ok.
   std::string FaultMessage;

@@ -80,6 +80,19 @@ size_t ExecutionProfile::functionIndex(const Function *F) const {
   return It == FuncIndex.end() ? NoFunction : It->second;
 }
 
+int32_t ExecutionProfile::siteIndex(size_t FnIdx, BlockID B,
+                                    uint32_t Index) const {
+  const std::vector<std::vector<int32_t>> &SiteAt = Plans[FnIdx].SiteAt;
+  if (B >= SiteAt.size() || Index >= SiteAt[B].size())
+    return -1;
+  return SiteAt[B][Index];
+}
+
+int32_t ExecutionProfile::arrayIndex(size_t FnIdx, SymbolID Array) const {
+  const std::vector<int32_t> &ArrayIndex = Plans[FnIdx].ArrayIndex;
+  return Array < ArrayIndex.size() ? ArrayIndex[Array] : -1;
+}
+
 ProfileFrameState ExecutionProfile::makeFrameState(size_t FnIdx) const {
   ProfileFrameState FS;
   FS.Trips.assign(Funcs[FnIdx].Loops.size(), 0);
@@ -120,10 +133,10 @@ void ExecutionProfile::enterBlock(size_t FnIdx, BlockID B,
 
 void ExecutionProfile::noteCheck(size_t FnIdx, BlockID B, uint32_t Index,
                                  bool Trapped) {
-  const std::vector<int32_t> &Sites = Plans[FnIdx].SiteAt[B];
-  if (Index >= Sites.size() || Sites[Index] < 0)
+  int32_t Site = siteIndex(FnIdx, B, Index);
+  if (Site < 0)
     return; // check fabricated after attach; not a profiled site
-  CheckSiteProfile &SP = Funcs[FnIdx].Sites[Sites[Index]];
+  CheckSiteProfile &SP = Funcs[FnIdx].Sites[Site];
   saturatingInc(SP.Hits);
   if (Trapped)
     saturatingInc(SP.Traps);
@@ -131,7 +144,7 @@ void ExecutionProfile::noteCheck(size_t FnIdx, BlockID B, uint32_t Index,
 
 void ExecutionProfile::noteAccess(size_t FnIdx, SymbolID Array,
                                   bool IsStore) {
-  int32_t Idx = Plans[FnIdx].ArrayIndex[Array];
+  int32_t Idx = arrayIndex(FnIdx, Array);
   if (Idx < 0)
     return;
   ArrayProfile &AP = Funcs[FnIdx].Arrays[Idx];

@@ -20,11 +20,14 @@
 ///     CheckTag from the provenance subsystem — every dynamic cost line
 ///     links back to the full compile-time decision chain
 ///
-/// Both execution paths feed the same structure: the Interpreter records
-/// natively (InterpOptions::Profile), and the instrumented-C back end
-/// emits a counter table plus an atexit dump whose per-site counts are
-/// bit-identical to the interpreter's on the same program and input
-/// (tests/cbackend/ProfileParityTest.cpp enforces the contract).
+/// The profile is the only per-site, per-block and per-array dynamic
+/// record. The Interpreter records into it natively
+/// (InterpOptions::Profile); the instrumented-C back end lays out its
+/// counter table from an attached profile (siteIndex, arrayIndex) and
+/// emits an atexit dump whose counts are bit-identical to the
+/// interpreter's on the same program and input
+/// (tests/cbackend/ProfileParityTest.cpp enforces the contract). The
+/// residual-check remarks read their dynamic counts from it too.
 ///
 /// All counters are uint64_t and accumulate with saturating adds, so a
 /// long run clamps at UINT64_MAX instead of silently wrapping. The
@@ -62,9 +65,9 @@ struct JsonValue;
 constexpr int64_t ProfileVersion = 1;
 
 /// Saturating 64-bit accumulate: clamps at UINT64_MAX instead of
-/// wrapping. Every dynamic counter in the profile (and the interpreter's
-/// per-site check counts) goes through this, so huge-input runs for the
-/// future VM tier degrade to "at least this many" rather than lying.
+/// wrapping. Every dynamic counter in the profile goes through this (the
+/// instrumented C's nck_count saturates the same way), so huge-input runs
+/// degrade to "at least this many" rather than lying.
 inline uint64_t saturatingAdd(uint64_t A, uint64_t B) {
   uint64_t S = A + B;
   return S < A ? ~uint64_t(0) : S;
@@ -139,6 +142,14 @@ public:
   /// Index into functions() for \p F; NoFunction when \p F is not part of
   /// the attached module. The interpreter caches this per frame.
   size_t functionIndex(const Function *F) const;
+
+  /// The position in functions()[\p FnIdx].Sites of the check at (\p B,
+  /// \p Index); -1 when no residual check was there at attach time.
+  int32_t siteIndex(size_t FnIdx, BlockID B, uint32_t Index) const;
+
+  /// The position in functions()[\p FnIdx].Arrays of symbol \p Array; -1
+  /// when the symbol is not an array.
+  int32_t arrayIndex(size_t FnIdx, SymbolID Array) const;
 
   /// A fresh per-frame loop state for function \p FnIdx.
   ProfileFrameState makeFrameState(size_t FnIdx) const;

@@ -5,7 +5,7 @@
 #include "obs/Profile.h"
 #include "support/StringUtils.h"
 
-#include <map>
+#include <cassert>
 
 using namespace nascent;
 using namespace nascent::obs;
@@ -152,40 +152,31 @@ void obs::emitEventRemarks(const Function &F,
 }
 
 void obs::emitResidualCheckRemarks(const Module &M,
-                                   const std::vector<CheckSiteCount> &Sites,
+                                   const ExecutionProfile &Profile,
                                    RemarkCollector &RC) {
   if (!RC.enabled())
     return;
-  // Index the interpreter's counts by structural site address.
-  std::map<std::tuple<std::string, BlockID, uint32_t>, uint64_t> BySite;
-  for (const CheckSiteCount &S : Sites)
-    saturatingInc(BySite[{S.Func, S.Block, S.Index}], S.Count);
-
   for (const Function *F : M.functions()) {
-    for (const auto &BB : *F) {
-      const auto &Insts = BB->instructions();
-      for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx) {
-        const Instruction &I = Insts[Idx];
-        if (!I.isRangeCheck())
-          continue;
-        Remark R;
-        R.Kind = RemarkKind::Residual;
-        R.Pass = "Interpreter";
-        R.Function = F->name();
-        R.Block = BB->name();
-        R.CheckStr = I.Check.str(F->symbols());
-        R.FamilyStr = I.Check.expr().str(F->symbols());
-        R.Bound = I.Check.bound();
-        R.Origin = I.Origin;
-        auto It = BySite.find({F->name(), BB->id(), Idx});
-        R.DynCount = It == BySite.end() ? 0 : It->second;
-        R.HasDynCount = true;
-        R.Justification =
-            I.Op == Opcode::CondCheck
-                ? "conditional check survived optimization"
-                : "check survived optimization";
-        RC.emit(R);
-      }
+    size_t Fn = Profile.functionIndex(F);
+    assert(Fn != ExecutionProfile::NoFunction && "profile of another module");
+    const FunctionProfile &FP = Profile.functions()[Fn];
+    for (const CheckSiteProfile &S : FP.Sites) {
+      const Instruction &I = F->block(S.Block)->instructions()[S.Index];
+      Remark R;
+      R.Kind = RemarkKind::Residual;
+      R.Pass = "Interpreter";
+      R.Function = F->name();
+      R.Block = FP.BlockNames[S.Block];
+      R.CheckStr = S.CheckStr;
+      R.FamilyStr = I.Check.expr().str(F->symbols());
+      R.Bound = I.Check.bound();
+      R.Origin = S.Origin;
+      R.DynCount = S.Hits;
+      R.HasDynCount = true;
+      R.Justification = S.Conditional
+                            ? "conditional check survived optimization"
+                            : "check survived optimization";
+      RC.emit(R);
     }
   }
 }

@@ -50,6 +50,7 @@ class Module;
 
 namespace obs {
 
+class ExecutionProfile;
 class JsonWriter;
 
 /// What happened to a check. The first eight kinds map one-to-one onto
@@ -124,23 +125,10 @@ void emitEventRemarks(const Function &F,
                       const std::vector<LifecycleEvent> &Events, size_t First,
                       RemarkCollector &RC);
 
-/// Dynamic execution count of one surviving check site, reported by the
-/// interpreter when InterpOptions::CountCheckSites is set. The site is
-/// addressed structurally (function, block, instruction index) against
-/// the optimized module the interpreter ran.
-struct CheckSiteCount {
-  std::string Func;
-  BlockID Block = 0;
-  uint32_t Index = 0; ///< instruction index within the block
-  uint64_t Count = 0;
-  CheckTag Tag = NoCheckTag; ///< lifecycle tag of the check at the site
-};
-
-/// Joins interpreter check-site counts back into the remark stream: one
-/// Residual remark per surviving check site in \p M, with DynCount taken
-/// from \p Sites (0 for sites the run never reached).
-void emitResidualCheckRemarks(const Module &M,
-                              const std::vector<CheckSiteCount> &Sites,
+/// Joins the execution profile back into the remark stream: one Residual
+/// remark per surviving check site in \p M, with DynCount taken from the
+/// site's hits in \p Profile, which must be attached to \p M.
+void emitResidualCheckRemarks(const Module &M, const ExecutionProfile &Profile,
                               RemarkCollector &RC);
 
 } // namespace obs

@@ -77,13 +77,3 @@ std::string Hash128::hex() const {
   return formatString("%016llx%016llx", static_cast<unsigned long long>(Hi),
                       static_cast<unsigned long long>(Lo));
 }
-
-Hash128 nascent::support::hashBytes(const void *Data, size_t N) {
-  StableHasher H;
-  H.bytes(Data, N);
-  return H.digest();
-}
-
-Hash128 nascent::support::hashString(const std::string &S) {
-  return hashBytes(S.data(), S.size());
-}

@@ -84,10 +84,6 @@ private:
   uint64_t Length = 0;
 };
 
-/// One-shot convenience: the digest of a byte string.
-Hash128 hashBytes(const void *Data, size_t N);
-Hash128 hashString(const std::string &S);
-
 } // namespace support
 } // namespace nascent
 

@@ -19,6 +19,21 @@
 namespace nascent {
 namespace test {
 
+/// Walks off the end of a(10) at iteration 11 of 15: every scheme must
+/// trap (behaviour preservation), each at its own placement of the
+/// violated upper-bound check.
+inline const char *const TrappingLoop = R"(
+program p
+  real a(10)
+  integer i, n
+  n = 15
+  do i = 1, n
+    a(i) = real(i)
+  end do
+  print a(1)
+end program
+)";
+
 /// Compiles \p Source, failing the test on front-end errors.
 inline CompileResult compileOrDie(const std::string &Source,
                                   const PipelineOptions &Opts = {}) {

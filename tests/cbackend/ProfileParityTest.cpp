@@ -2,12 +2,15 @@
 ///
 /// \file
 /// The profile parity gate: for every sample program in
-/// examples/programs/*.mf (naive and LLS-optimized), the interpreter's
-/// ExecutionProfile and the instrumented-C binary's atexit counter dump
-/// must agree bit for bit — per-site hits and traps, per-block execution
-/// counts, and per-array load/store counts. This is the acceptance
-/// contract of docs/profiling.md: both execution paths measure the same
-/// dynamic check cost, so either one can back the paper's numbers.
+/// examples/programs/*.mf (naive and LLS-optimized), and for a loop that
+/// traps under every placement scheme, the interpreter's ExecutionProfile
+/// and the instrumented-C binary's atexit counter dump must agree bit for
+/// bit — per-site hits and traps, per-block execution counts, and
+/// per-array load/store counts. This is the acceptance contract of
+/// docs/profiling.md: both execution paths measure the same dynamic check
+/// cost, so either one can back the paper's numbers. The compiled C is
+/// the profile's independent reference: it counts in its own executor,
+/// not in a second counter of the interpreter's loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +49,8 @@ bool haveCC() {
 /// (func, name).
 struct CDump {
   bool Ran = false;
+  /// The [nascent-counts] totals.
+  uint64_t Instrs = 0, Checks = 0, CondChecks = 0;
   std::map<std::tuple<std::string, unsigned long, unsigned long>,
            std::pair<uint64_t, uint64_t>>
       Sites; ///< -> (hits, traps)
@@ -88,6 +93,13 @@ CDump compileRunAndDump(const Module &M, const std::string &Tag) {
     unsigned long Block, Index;
     unsigned long long A, B, T;
     if (std::sscanf(Line.c_str(),
+                    "[nascent-counts] instrs=%llu checks=%llu "
+                    "condchecks=%llu",
+                    &A, &B, &T) == 3) {
+      D.Instrs = A;
+      D.Checks = B;
+      D.CondChecks = T;
+    } else if (std::sscanf(Line.c_str(),
                     "[nascent-profsite] func=%255s block=%lu index=%lu "
                     "tag=%llu hits=%llu traps=%llu",
                     Func, &Block, &Index, &T, &A, &B) == 6) {
@@ -111,9 +123,8 @@ CDump compileRunAndDump(const Module &M, const std::string &Tag) {
 
 /// The whole contract for one compiled module: interpreter profile ==
 /// compiled-C dump, counter for counter.
-void expectProfileParity(const Module &M, obs::ExecutionProfile &P,
-                         const std::string &Tag) {
-  CDump D = compileRunAndDump(M, Tag);
+void expectDumpMatchesProfile(const CDump &D, const obs::ExecutionProfile &P,
+                              const std::string &Tag) {
   ASSERT_TRUE(D.Ran) << Tag << ": no profile dump captured";
 
   size_t Sites = 0, Blocks = 0, Arrays = 0;
@@ -135,7 +146,7 @@ void expectProfileParity(const Module &M, obs::ExecutionProfile &P,
       EXPECT_EQ(It->second.second, S.Traps)
           << Tag << ": traps at " << FP.Name << " bb" << S.Block << "#"
           << S.Index;
-      uint64_t EmittedTag = D.SiteTags[{FP.Name, S.Block, S.Index}];
+      uint64_t EmittedTag = D.SiteTags.at({FP.Name, S.Block, S.Index});
       EXPECT_EQ(EmittedTag, S.Tag)
           << Tag << ": tag at " << FP.Name << " bb" << S.Block << "#"
           << S.Index;
@@ -157,6 +168,11 @@ void expectProfileParity(const Module &M, obs::ExecutionProfile &P,
   EXPECT_EQ(D.Sites.size(), Sites) << Tag;
   EXPECT_EQ(D.Blocks.size(), Blocks) << Tag;
   EXPECT_EQ(D.Arrays.size(), Arrays) << Tag;
+}
+
+void expectProfileParity(const Module &M, const obs::ExecutionProfile &P,
+                         const std::string &Tag) {
+  expectDumpMatchesProfile(compileRunAndDump(M, Tag), P, Tag);
 }
 
 void expectSourceParity(const std::string &Source, bool Optimize,
@@ -210,30 +226,42 @@ TEST(ProfileParity, TrappingProgramDumpSurvivesExit) {
   // The trap path: the C binary aborts via nck_trap/exit, yet the atexit
   // dump still fires and its counters — including the trapping site's
   // hit+trap and the partial block counts — match the interpreter.
-  expectSourceParity(R"(
-program p
-  real a(10)
-  integer i, n
-  n = 15
-  do i = 1, n
-    a(i) = real(i)
-  end do
-  print a(1)
-end program
-)",
-                     /*Optimize=*/false, "trap_naive");
-  expectSourceParity(R"(
-program p
-  real a(10)
-  integer i, n
-  n = 15
-  do i = 1, n
-    a(i) = real(i)
-  end do
-  print a(1)
-end program
-)",
-                     /*Optimize=*/true, "trap_lls");
+  expectSourceParity(TrappingLoop, /*Optimize=*/false, "trap_naive");
+  expectSourceParity(TrappingLoop, /*Optimize=*/true, "trap_lls");
+}
+
+TEST(ProfileParity, TrappingLoopUnderEverySchemeMatchesCompiledC) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // Each scheme traps at its own placement of the violated check: in the
+  // body, or at a conditional check hoisted to the preheader. The
+  // compiled C must see the same single trap at the same site, the same
+  // partial block and array counts, and the interpreter's totals.
+  size_t CondCheckTraps = 0;
+  for (PlacementScheme Scheme : AllPlacementSchemes) {
+    const std::string Tag = std::string("trap_") + placementSchemeName(Scheme);
+    PipelineOptions PO;
+    PO.Opt.Scheme = Scheme;
+    PO.Telemetry.Profile = true;
+    CompileResult R = compileOrDie(TrappingLoop, PO);
+    InterpOptions IO;
+    IO.Profile = &R.Profile;
+    ExecResult E = interpret(*R.M, IO);
+    ASSERT_TRUE(E.trapped()) << Tag << ": " << E.FaultMessage;
+    ASSERT_EQ(R.Profile.dynTraps(), 1u) << Tag;
+
+    CDump D = compileRunAndDump(*R.M, Tag);
+    expectDumpMatchesProfile(D, R.Profile, Tag);
+    EXPECT_EQ(D.Instrs, E.DynInstrs) << Tag;
+    EXPECT_EQ(D.Checks, E.DynChecks) << Tag;
+    EXPECT_EQ(D.CondChecks, E.DynCondChecks) << Tag;
+    for (const obs::FunctionProfile &FP : R.Profile.functions())
+      for (const obs::CheckSiteProfile &S : FP.Sites)
+        if (S.Traps != 0 && S.Conditional)
+          ++CondCheckTraps;
+  }
+  // LLS, ALL and MCM hoist the violated check as a CondCheck.
+  EXPECT_EQ(CondCheckTraps, 3u);
 }
 
 TEST(ProfileParity, MultiFunctionProgram) {

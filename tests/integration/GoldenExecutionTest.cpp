@@ -122,17 +122,16 @@ TEST(GoldenExecution, WholeSuiteMatchesRecordedResults) {
                   E.FaultMessage == G.FaultMessage;
       EXPECT_TRUE(Same) << C.Name << " moved; current:\n" << Current;
 
-      // Counting check sites runs the interpreter's other copy of every
-      // handler; it must give the same result, and its sites must account
-      // for every executed check.
-      InterpOptions Sites;
-      Sites.CountCheckSites = true;
-      ExecResult Observed = interpret(*R.M, Sites);
-      EXPECT_EQ(row(C.Name, Observed), Current) << "with CountCheckSites";
-      uint64_t Hits = 0;
-      for (const obs::CheckSiteCount &S : Observed.CheckSites)
-        Hits += S.Count;
-      EXPECT_EQ(Hits, Observed.DynChecks) << C.Name;
+      // A profile runs the interpreter's other copy of every handler; it
+      // must give the same result, and its site hits must account for
+      // every executed check.
+      obs::ExecutionProfile Profile;
+      Profile.attach(*R.M);
+      InterpOptions Observing;
+      Observing.Profile = &Profile;
+      ExecResult Observed = interpret(*R.M, Observing);
+      EXPECT_EQ(row(C.Name, Observed), Current) << "with a profile";
+      EXPECT_EQ(Profile.dynChecks(), Observed.DynChecks) << C.Name;
     }
   }
   EXPECT_EQ(Next, Total) << "recorded rows with no matching cell";

@@ -13,6 +13,7 @@
 #include "TestHelpers.h"
 
 #include "ir/IRBuilder.h"
+#include "obs/Profile.h"
 #include "obs/StatRegistry.h"
 
 #include <gtest/gtest.h>
@@ -417,7 +418,9 @@ end program
     InterpOptions IO;
     IO.MaxSteps = Limit;
     ExecResult E = interpret(*R.M, IO);
-    IO.CountCheckSites = true;
+    obs::ExecutionProfile Profile;
+    Profile.attach(*R.M);
+    IO.Profile = &Profile;
     ExecResult Observed = interpret(*R.M, IO);
     uint64_t Steps = E.DynInstrs + E.DynChecks;
     // The last operation, a unit-cost ret, starts below a limit equal to
@@ -439,25 +442,18 @@ end program
     EXPECT_EQ(Observed.DynInstrs, E.DynInstrs) << Limit;
     EXPECT_EQ(Observed.DynChecks, E.DynChecks) << Limit;
     EXPECT_EQ(Observed.Output, E.Output) << Limit;
-    uint64_t SiteHits = 0;
-    for (const obs::CheckSiteCount &S : Observed.CheckSites)
-      SiteHits += S.Count;
-    EXPECT_EQ(SiteHits, E.DynChecks) << Limit;
+    EXPECT_EQ(Profile.dynChecks(), E.DynChecks) << Limit;
   }
   EXPECT_EQ(Previous, Total);
   EXPECT_EQ(Stops.size(), FullOps);
 }
 
-/// The (block, index) of every range check in \p F, in program order.
-std::vector<std::pair<BlockID, uint32_t>> checkSites(const Function &F) {
-  std::vector<std::pair<BlockID, uint32_t>> Sites;
-  for (const auto &BB : F) {
-    const auto &Instrs = BB->instructions();
-    for (uint32_t K = 0; K != Instrs.size(); ++K)
-      if (Instrs[K].isRangeCheck())
-        Sites.push_back({BB->id(), K});
-  }
-  return Sites;
+/// Runs \p M with \p Profile attached to it.
+ExecResult runProfiled(const Module &M, obs::ExecutionProfile &Profile) {
+  Profile.attach(M);
+  InterpOptions IO;
+  IO.Profile = &Profile;
+  return interpret(M, IO);
 }
 
 TEST(Interpreter, TrapInSecondHalfOfCheckPair) {
@@ -472,21 +468,22 @@ program p
   a(i) = 1.0
 end program
 )");
-  InterpOptions IO;
-  IO.CountCheckSites = true;
-  ExecResult E = interpret(*R.M, IO);
+  obs::ExecutionProfile Profile;
+  ExecResult E = runProfiled(*R.M, Profile);
   ASSERT_EQ(E.St, ExecResult::Status::Trapped);
   EXPECT_EQ(E.FaultMessage, "range check failed: Check(i <= 10) (array a, "
                             "dim 1, upper bound, line 6:3)");
   EXPECT_EQ(E.DynChecks, 2u);
-  auto Sites = checkSites(*R.M->entry());
+  EXPECT_EQ(Profile.dynChecks(), E.DynChecks);
+  const std::vector<obs::CheckSiteProfile> &Sites =
+      Profile.functions()[0].Sites;
   ASSERT_EQ(Sites.size(), 2u);
-  ASSERT_EQ(E.CheckSites.size(), 2u);
-  for (size_t K = 0; K != 2; ++K) {
-    EXPECT_EQ(E.CheckSites[K].Block, Sites[K].first) << K;
-    EXPECT_EQ(E.CheckSites[K].Index, Sites[K].second) << K;
-    EXPECT_EQ(E.CheckSites[K].Count, 1u) << K;
-  }
+  EXPECT_EQ(Sites[0].CheckStr, "Check(-i <= -1)");
+  EXPECT_EQ(Sites[1].CheckStr, "Check(i <= 10)");
+  for (size_t K = 0; K != 2; ++K)
+    EXPECT_EQ(Sites[K].Hits, 1u) << K;
+  EXPECT_EQ(Sites[0].Traps, 0u);
+  EXPECT_EQ(Sites[1].Traps, 1u);
 }
 
 TEST(Interpreter, TrapAfterCompareBranchPair) {
@@ -505,21 +502,22 @@ program p
   end do
 end program
 )");
-  InterpOptions IO;
-  IO.CountCheckSites = true;
-  ExecResult E = interpret(*R.M, IO);
+  obs::ExecutionProfile Profile;
+  ExecResult E = runProfiled(*R.M, Profile);
   ASSERT_EQ(E.St, ExecResult::Status::Trapped);
   EXPECT_EQ(E.FaultMessage, "range check failed: Check(i <= 10) (array a, "
                             "dim 1, upper bound, line 7:5)");
   EXPECT_EQ(E.DynChecks, 22u);
-  auto Sites = checkSites(*R.M->entry());
+  EXPECT_EQ(Profile.dynChecks(), E.DynChecks);
+  const std::vector<obs::CheckSiteProfile> &Sites =
+      Profile.functions()[0].Sites;
   ASSERT_EQ(Sites.size(), 2u);
-  ASSERT_EQ(E.CheckSites.size(), 2u);
-  for (size_t K = 0; K != 2; ++K) {
-    EXPECT_EQ(E.CheckSites[K].Block, Sites[K].first) << K;
-    EXPECT_EQ(E.CheckSites[K].Index, Sites[K].second) << K;
-    EXPECT_EQ(E.CheckSites[K].Count, 11u) << K;
-  }
+  EXPECT_EQ(Sites[0].CheckStr, "Check(-i <= -1)");
+  EXPECT_EQ(Sites[1].CheckStr, "Check(i <= 10)");
+  for (size_t K = 0; K != 2; ++K)
+    EXPECT_EQ(Sites[K].Hits, 11u) << K;
+  EXPECT_EQ(Sites[0].Traps, 0u);
+  EXPECT_EQ(Sites[1].Traps, 1u);
   EXPECT_EQ(interpret(*R.M).DynInstrs, E.DynInstrs);
 }
 
@@ -603,10 +601,10 @@ TEST(Interpreter, CompareMixesIntegerConstantWithRealSymbol) {
   EXPECT_EQ(E.Output, (std::vector<std::string>{"T", "F", "T"}));
 }
 
-TEST(Interpreter, CountCheckSitesRecordsCondCheckWhoseGuardsFail) {
+TEST(Interpreter, ProfileRecordsCondCheckWhoseGuardsFail) {
   // A conditional check whose guard never holds still executes (and is
-  // counted at its site) on every visit; it never traps even though its
-  // check would fail.
+  // counted at its profile site) on every visit; it never traps even
+  // though its check would fail.
   Module M;
   Function *F = M.createFunction("main");
   M.setEntry("main");
@@ -630,19 +628,22 @@ TEST(Interpreter, CountCheckSitesRecordsCondCheckWhoseGuardsFail) {
   B.setInsertBlock(Exit);
   B.emitRet();
 
-  InterpOptions IO;
-  IO.CountCheckSites = true;
-  ExecResult E = interpret(M, IO);
+  obs::ExecutionProfile Profile;
+  ExecResult E = runProfiled(M, Profile);
   ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
   EXPECT_EQ(E.DynChecks, 3u);
   EXPECT_EQ(E.DynCondChecks, 3u);
-  ASSERT_EQ(E.CheckSites.size(), 1u);
-  const obs::CheckSiteCount &S = E.CheckSites[0];
+  EXPECT_EQ(Profile.dynChecks(), E.DynChecks);
+  ASSERT_EQ(Profile.functions().size(), 1u);
+  EXPECT_EQ(Profile.functions()[0].Name, "main");
+  ASSERT_EQ(Profile.functions()[0].Sites.size(), 1u);
+  const obs::CheckSiteProfile &S = Profile.functions()[0].Sites[0];
   CheckTag Tag = Loop->instructions()[1].Tag;
-  EXPECT_EQ(S.Func, "main");
+  EXPECT_TRUE(S.Conditional);
   EXPECT_EQ(S.Block, Loop->id());
   EXPECT_EQ(S.Index, 1u);
-  EXPECT_EQ(S.Count, 3u);
+  EXPECT_EQ(S.Hits, 3u);
+  EXPECT_EQ(S.Traps, 0u);
   EXPECT_NE(Tag, NoCheckTag);
   EXPECT_EQ(S.Tag, Tag);
 }

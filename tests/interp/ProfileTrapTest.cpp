@@ -3,10 +3,12 @@
 /// \file
 /// Profile behaviour on trapping runs: a check that fires mid-loop must
 /// record the partial trip count up to the trap, and the profile's totals
-/// must reconcile with the interpreter's per-site CheckSiteCount record
-/// and the provenance terminal states — for every placement scheme, since
-/// each scheme traps at a different site (body check, hoisted preheader
-/// check, post-loop LLS residual).
+/// must reconcile with the interpreter's check counter and the provenance
+/// terminal states — for every placement scheme, since each scheme traps
+/// at a different site (body check, hoisted preheader check, post-loop
+/// LLS residual). The per-site hits and traps of the same runs are checked
+/// against an independent executor, the instrumented C, in
+/// tests/cbackend/ProfileParityTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,29 +20,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
-#include <tuple>
 
 using namespace nascent;
 using namespace nascent::test;
 
 namespace {
-
-/// Walks off the end of a(10) at iteration 11 of 15: every scheme must
-/// trap (behaviour preservation), each at its own placement of the
-/// violated upper-bound check.
-const char *TrappingLoop = R"(
-program p
-  real a(10)
-  integer i, n
-  n = 15
-  do i = 1, n
-    a(i) = real(i)
-  end do
-  print a(1)
-end program
-)";
 
 struct TrappedRun {
   CompileResult R;
@@ -57,7 +42,6 @@ TrappedRun runTrapped(PlacementScheme Scheme, bool Optimize = true) {
   T.R = compileOrDie(TrappingLoop, PO);
   InterpOptions IO;
   IO.Profile = &T.R.Profile;
-  IO.CountCheckSites = true;
   T.E = interpret(*T.R.M, IO);
   EXPECT_EQ(T.E.St, ExecResult::Status::Trapped)
       << placementSchemeName(Scheme) << ": " << T.E.FaultMessage;
@@ -97,29 +81,18 @@ TEST(ProfileTrap, TotalsReconcileAcrossAllSchemes) {
     const obs::ExecutionProfile &P = T.R.Profile;
 
     // Run-level totals: one run, trapped, exactly one dynamic trap, and
-    // the profile's dynamic check total is the interpreter's.
+    // the profile's site hits sum to the interpreter's check count.
     EXPECT_EQ(P.runs(), 1u) << Label;
     EXPECT_EQ(P.trappedRuns(), 1u) << Label;
     EXPECT_EQ(P.dynTraps(), 1u) << Label;
     EXPECT_EQ(P.dynChecks(), T.E.DynChecks) << Label;
 
-    // Per-site reconciliation with the CheckSiteCount record: both paths
-    // observed the same executions at the same (func, block, index).
-    std::map<std::tuple<std::string, BlockID, uint32_t>, uint64_t> ByKey;
-    for (const obs::CheckSiteCount &S : T.E.CheckSites)
-      ByKey[{S.Func, S.Block, S.Index}] += S.Count;
-    uint64_t SiteTotal = 0;
+    // No site traps more often than it runs.
     for (const obs::FunctionProfile &FP : P.functions())
-      for (const obs::CheckSiteProfile &S : FP.Sites) {
-        SiteTotal += S.Hits;
-        auto It = ByKey.find({FP.Name, S.Block, S.Index});
-        uint64_t Counted = It == ByKey.end() ? 0 : It->second;
-        EXPECT_EQ(S.Hits, Counted)
+      for (const obs::CheckSiteProfile &S : FP.Sites)
+        EXPECT_LE(S.Traps, S.Hits)
             << Label << ": " << FP.Name << " bb" << S.Block << "#"
             << S.Index;
-        EXPECT_LE(S.Traps, S.Hits) << Label;
-      }
-    EXPECT_EQ(SiteTotal, T.E.DynChecks) << Label;
 
     // Reconciliation with provenance terminal states: the profile's site
     // set is exactly the set of Residualized tags — a check the compiler

@@ -173,8 +173,7 @@ TEST(Determinism, ProfileJsonIsBitIdenticalAcrossJobCountsAndRuns) {
 
 TEST(Determinism, CacheOnAndOffProduceBitIdenticalOutputs) {
   // The artifact cache's hard contract (docs/caching.md): reusing a
-  // frontend snapshot or a pre-built analysis context must not change a
-  // byte of any observable output. Compile every scheme twice per batch
+  // frontend snapshot must not change a byte of any observable output. Compile every scheme twice per batch
   // (so the second compile of each scheme hits the cache) and compare the
   // per-job work maps, provenance JSON, and profile JSON against a
   // cache-off run of the same batch, at every job count.

@@ -13,6 +13,7 @@
 
 #include "TestHelpers.h"
 #include "obs/Json.h"
+#include "obs/Profile.h"
 #include "obs/Remarks.h"
 #include "suite/Suite.h"
 
@@ -191,13 +192,16 @@ TEST(Remarks, FamilyFilter) {
 
 TEST(Remarks, ResidualJoinMatchesDynamicCounts) {
   CompileResult R = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  obs::ExecutionProfile Profile;
+  Profile.attach(*R.M);
   InterpOptions IO;
-  IO.CountCheckSites = true;
+  IO.Profile = &Profile;
   ExecResult E = interpret(*R.M, IO);
   ASSERT_TRUE(E.ok()) << E.FaultMessage;
+  EXPECT_EQ(Profile.dynChecks(), E.DynChecks);
 
   size_t Before = R.Remarks.remarks().size();
-  emitResidualCheckRemarks(*R.M, E.CheckSites, R.Remarks);
+  emitResidualCheckRemarks(*R.M, Profile, R.Remarks);
   // One residual remark per *static* surviving check...
   EXPECT_EQ(R.Remarks.count(obs::RemarkKind::Residual), R.Stats.ChecksAfter);
   EXPECT_EQ(R.Remarks.remarks().size(), Before + R.Stats.ChecksAfter);

@@ -16,6 +16,7 @@
 
 #include "driver/Pipeline.h"
 #include "interp/Interpreter.h"
+#include "obs/Profile.h"
 #include "obs/Provenance.h"
 #include "suite/Suite.h"
 
@@ -87,30 +88,36 @@ TEST(ProvenanceReconcile, EliminatedChecksNeverExecute) {
       if (!R.Success)
         continue;
 
+      obs::ExecutionProfile Profile;
+      Profile.attach(*R.M);
       InterpOptions IO;
-      IO.CountCheckSites = true;
+      IO.Profile = &Profile;
       ExecResult E = interpret(*R.M, IO);
       ASSERT_NE(E.St, ExecResult::Status::HardFault)
           << Name << "/" << placementSchemeName(Scheme) << ": "
           << E.FaultMessage;
+      EXPECT_EQ(Profile.dynChecks(), E.DynChecks)
+          << Name << "/" << placementSchemeName(Scheme);
 
-      for (const obs::CheckSiteCount &Site : E.CheckSites) {
-        if (Site.Count == 0)
-          continue;
-        // Every dynamically executed check is a recorded, surviving one.
-        ASSERT_NE(Site.Tag, NoCheckTag)
-            << Name << "/" << placementSchemeName(Scheme) << " " << Site.Func
-            << " block " << Site.Block;
-        const obs::LifecycleEvent *Last = R.Provenance.lastEventOf(Site.Tag);
-        ASSERT_NE(Last, nullptr)
-            << Name << "/" << placementSchemeName(Scheme) << " tag "
-            << Site.Tag;
-        EXPECT_EQ(Last->Kind, obs::LifecycleKind::Residualized)
-            << Name << "/" << placementSchemeName(Scheme) << " tag "
-            << Site.Tag << " executed " << Site.Count
-            << " times but its lifecycle ended "
-            << obs::lifecycleKindName(Last->Kind);
-      }
+      for (const obs::FunctionProfile &FP : Profile.functions())
+        for (const obs::CheckSiteProfile &Site : FP.Sites) {
+          if (Site.Hits == 0)
+            continue;
+          // Every dynamically executed check is a recorded, surviving one.
+          ASSERT_NE(Site.Tag, NoCheckTag)
+              << Name << "/" << placementSchemeName(Scheme) << " "
+              << FP.Name << " block " << Site.Block;
+          const obs::LifecycleEvent *Last =
+              R.Provenance.lastEventOf(Site.Tag);
+          ASSERT_NE(Last, nullptr)
+              << Name << "/" << placementSchemeName(Scheme) << " tag "
+              << Site.Tag;
+          EXPECT_EQ(Last->Kind, obs::LifecycleKind::Residualized)
+              << Name << "/" << placementSchemeName(Scheme) << " tag "
+              << Site.Tag << " executed " << Site.Hits
+              << " times but its lifecycle ended "
+              << obs::lifecycleKindName(Last->Kind);
+        }
     }
   }
 }
